@@ -1,23 +1,24 @@
-//! E16 — integer-tick engine vs the exact-rational engine.
+//! E16 — the obligation stepper on `u64` ticks vs on exact `Rat`s.
 //!
-//! The monomorphized int backend scales every bound onto a shared u64
-//! tick grid at compile time and keeps its open obligations in flat
-//! struct-of-arrays tables with min-deadline/min-earliest watermarks.
-//! This bench answers EXPERIMENTS.md §E16's two questions:
+//! One struct-of-arrays stepper with min-deadline/min-earliest
+//! watermarks, instantiated twice: on a shared u64 tick grid when every
+//! bound and time fits it, on `Rat`s otherwise. The `exact` rows reach
+//! the `Rat` instantiation through one leading event time 1/3 off the
+//! unit grid, which moves the stream to `Rat` for good; the measured
+//! events then run at the same integral times as the `int` rows. This
+//! bench answers EXPERIMENTS.md §E16's two questions:
 //!
-//! 1. On the §E12 pulse workload, what does an event cost on the int
-//!    backend vs the exact backend as the condition count grows
-//!    (1 / 16 / 256)? This is the sub-20 ns monitor-core chase.
+//! 1. On the §E12 pulse workload, what does an event cost in each
+//!    domain as the condition count grows (1 / 16 / 256)?
 //! 2. How does the per-event cost scale with the number of *open*
-//!    obligations (1 / 1k / 100k)? The exact engine's per-condition
-//!    `Vec<Obligation>` scan is linear per event; the int backend's
-//!    watermarks skip the scans outright for events that serve nothing
-//!    and pass no deadline.
+//!    obligations (1 / 1k / 100k)? The watermarks skip the scans
+//!    outright for events that serve nothing and pass no deadline, in
+//!    both domains.
 
 use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tempo_core::engine::{BackendChoice, CompiledConditionSet, EngineBackend};
+use tempo_core::engine::{CompiledConditionSet, EngineBackend};
 use tempo_core::{SatisfactionMode, TimedSequence, TimingCondition};
 use tempo_math::{Interval, Rat};
 
@@ -38,20 +39,35 @@ fn pulse_conditions(k: usize) -> Vec<TimingCondition<u32, &'static str>> {
         .collect()
 }
 
-/// A satisfying `go`/`done` pulse train: one event per time unit.
-fn pulse_stream(n: usize) -> TimedSequence<u32, &'static str> {
+/// The domains of the rows and the time of the flush event that puts
+/// a stream in each: on the unit tick grid, or 1/3 off it, which moves
+/// the stream to `Rat` for good.
+fn domains() -> [(&'static str, Rat); 2] {
+    [("int", Rat::ZERO), ("exact", Rat::new(1, 3))]
+}
+
+/// A satisfying `go`/`done` pulse train: one event per time unit. On
+/// the exact rows a quiescent `noise` event at `flush` leads it, and
+/// the train starts at time 1 — so every measured event runs on `Rat`
+/// at the same integral times as the tick rows.
+fn pulse_stream(n: usize, flush: Rat) -> TimedSequence<u32, &'static str> {
     let mut seq = TimedSequence::new(0u32);
+    let start = if flush.is_zero() {
+        0
+    } else {
+        seq.push("noise", flush, 0);
+        1
+    };
     for i in 0..n {
         let a = if i % 2 == 0 { "go" } else { "done" };
-        seq.push(a, Rat::from(i as i64), (i + 1) as u32);
+        seq.push(a, Rat::from(start + i as i64), (i + 1) as u32);
     }
     seq
 }
 
-/// §E12's engine fold, backend vs backend. Per-event cost = reported
+/// §E12's engine fold, domain vs domain. Per-event cost = reported
 /// time / 10k events.
 fn bench_pulse_fold(c: &mut Criterion) {
-    let seq = pulse_stream(EVENTS);
     let mut group = c.benchmark_group("e16_pulse_fold");
     for k in [1usize, 16, 256] {
         let set = CompiledConditionSet::new(&pulse_conditions(k));
@@ -60,13 +76,11 @@ fn bench_pulse_fold(c: &mut Criterion) {
             EngineBackend::Int,
             "pulse bounds are integral"
         );
-        for (name, choice) in [
-            ("int", BackendChoice::Auto),
-            ("exact", BackendChoice::Exact),
-        ] {
+        for (name, flush) in domains() {
+            let seq = pulse_stream(EVENTS, flush);
             group.bench_with_input(BenchmarkId::new(name, k), &set, |b, set| {
                 b.iter(|| {
-                    let vs = set.fold_sequence_with(&seq, SatisfactionMode::Prefix, choice);
+                    let vs = set.fold_sequence(&seq, SatisfactionMode::Prefix);
                     assert!(vs.is_empty());
                     vs
                 })
@@ -91,30 +105,29 @@ fn slow_condition() -> TimingCondition<u32, &'static str> {
 /// Per-event cost of a quiescent ("noise") event against `n` open
 /// obligations: arm the store with `n` triggers, then measure single
 /// noise steps at monotonically increasing times. The noise action
-/// triggers nothing and serves nothing, so the int backend's
-/// watermarks skip both scans while the exact backend walks its
-/// obligation vector every event.
+/// triggers nothing and serves nothing, so the watermarks skip both
+/// scans in either domain.
 fn bench_open_obligations(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_open_obligations");
-    // The exact/100k cell costs ~n per event; keep total runtime sane.
     group.sample_size(20);
     for n in [1usize, 1_000, 100_000] {
-        for (name, choice) in [
-            ("int", BackendChoice::Auto),
-            ("exact", BackendChoice::Exact),
-        ] {
+        for ((name, flush), backend) in domains()
+            .into_iter()
+            .zip([EngineBackend::Int, EngineBackend::Exact])
+        {
             let set = CompiledConditionSet::new(&[slow_condition()]);
-            let mut st = set.start_engine_with(&0u32, choice);
+            let mut st = set.start_engine(&0u32);
             for i in 0..n {
                 set.step_engine(&mut st, &0, &"go", &0, Rat::from(i as i64));
             }
             // One flush event past every armed lower window discharges
-            // the lowers, leaving exactly n far-deadline uppers.
-            set.step_engine(&mut st, &0, &"noise", &0, Rat::from(n as i64 + 1));
+            // the lowers, leaving exactly n far-deadline uppers; on the
+            // exact rows its off-grid time moves the stream to `Rat`,
+            // where it stays for the measured events.
+            let flush = Rat::from(n as i64 + 1) + flush;
+            set.step_engine(&mut st, &0, &"noise", &0, flush);
             assert_eq!(st.open_obligations(), n);
-            if matches!(choice, BackendChoice::Auto) {
-                assert_eq!(st.backend(), EngineBackend::Int);
-            }
+            assert_eq!(st.backend(), backend);
             let t = Cell::new(n as i64 + 1);
             group.bench_function(BenchmarkId::new(name, n), |b| {
                 b.iter(|| {

@@ -2,22 +2,25 @@
 //!
 //! Prediction used to live in a zone-based side-car that re-derived
 //! slack from a DBM next to the engine; it is now a native capability
-//! of both backends — warning points (`Lt` slack) and forced windows
-//! (`Ft` residuals) are tracked inside the obligation stores
-//! themselves. This bench answers EXPERIMENTS.md §E17's two questions:
+//! of the stepper in both time domains — warning points (`Lt` slack)
+//! and forced windows (`Ft` residuals) are tracked inside the
+//! obligation store itself. The `exact` rows reach the `Rat` domain
+//! through one leading event 1/3 off the unit tick grid; the measured
+//! events then run at the same integral times as the `int` rows. This
+//! bench answers EXPERIMENTS.md §E17's two questions:
 //!
-//! 1. What does arming a horizon cost on the exact backend? The §E12
-//!    pulse workload, stepped with and without prediction — the target
-//!    is ≤ ≈1.9× the plain fold, the old side-car's §E11b overhead.
-//! 2. Does the int backend's quiescent-event fast path survive
-//!    prediction? The warning watermark generalizes the min-deadline
-//!    watermark, so a noise event against 100k armed-but-distant
-//!    obligations must stay within noise of the §E16 ~16 ns floor.
+//! 1. What does arming a horizon cost in each domain? The §E12 pulse
+//!    workload, stepped with and without prediction — the target is
+//!    ≤ ≈1.9× the plain fold, the old side-car's §E11b overhead.
+//! 2. Does the quiescent-event fast path survive prediction? The
+//!    warning watermark generalizes the min-deadline watermark, so a
+//!    noise event against 100k armed-but-distant obligations must stay
+//!    within noise of the §E16 floor.
 
 use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tempo_core::engine::{BackendChoice, CompiledConditionSet, EngineBackend, EngineEvent};
+use tempo_core::engine::{CompiledConditionSet, EngineBackend, EngineEvent};
 use tempo_core::{TimedSequence, TimingCondition};
 use tempo_math::{Interval, Rat};
 
@@ -38,37 +41,38 @@ fn pulse_conditions(k: usize) -> Vec<TimingCondition<u32, &'static str>> {
         .collect()
 }
 
-/// A satisfying `go`/`done` pulse train: one event per time unit. Every
-/// obligation is served with slack 2, so a horizon-1 predictor arms and
-/// retires warning points without ever emitting — the bench measures
-/// pure bookkeeping, not reporting.
-fn pulse_stream(n: usize) -> TimedSequence<u32, &'static str> {
+/// A satisfying `go`/`done` pulse train: one event per time unit.
+/// Every obligation is served with slack 2, so a horizon-1 predictor
+/// arms and retires warning points without ever emitting — the bench
+/// measures pure bookkeeping, not reporting. With `exact`, a quiescent
+/// `noise` event 1/3 off the unit tick grid leads the train (which then
+/// starts at time 1), moving the stream to `Rat` for good.
+fn pulse_stream(n: usize, exact: bool) -> TimedSequence<u32, &'static str> {
     let mut seq = TimedSequence::new(0u32);
+    if exact {
+        seq.push("noise", Rat::new(1, 3), 0);
+    }
     for i in 0..n {
         let a = if i % 2 == 0 { "go" } else { "done" };
-        seq.push(a, Rat::from(i as i64), (i + 1) as u32);
+        seq.push(a, Rat::from(i64::from(exact) + i as i64), (i + 1) as u32);
     }
     seq
 }
 
-/// Predictive overhead on both backends: the pulse stream stepped with
+/// Predictive overhead in both domains: the pulse stream stepped with
 /// the horizon detached vs armed at 1. Per-event cost = reported time /
 /// 10k events.
 fn bench_predictive_fold(c: &mut Criterion) {
-    let seq = pulse_stream(EVENTS);
     let mut group = c.benchmark_group("e17_predictive_fold");
     for k in [1usize, 16, 256] {
         let set = CompiledConditionSet::new(&pulse_conditions(k));
-        for (backend, choice) in [
-            ("int", BackendChoice::Auto),
-            ("exact", BackendChoice::Exact),
-        ] {
+        for (backend, exact) in [("int", false), ("exact", true)] {
+            let seq = pulse_stream(EVENTS, exact);
             for (name, horizon) in [("plain", None), ("predict", Some(Rat::ONE))] {
                 let id = BenchmarkId::new(format!("{backend}_{name}"), k);
                 group.bench_with_input(id, &set, |b, set| {
                     b.iter(|| {
-                        let mut st =
-                            set.start_engine_predictive(seq.first_state(), choice, horizon);
+                        let mut st = set.start_engine_predictive(seq.first_state(), horizon);
                         let mut bad = 0usize;
                         for (pre, a, t, post) in seq.step_triples() {
                             bad += set
@@ -111,7 +115,7 @@ fn bench_quiescent_predict(c: &mut Criterion) {
     let n = 100_000usize;
     for (name, horizon) in [("plain", None), ("predict", Some(Rat::ONE))] {
         let set = CompiledConditionSet::new(&[slow_condition()]);
-        let mut st = set.start_engine_predictive(&0u32, BackendChoice::Auto, horizon);
+        let mut st = set.start_engine_predictive(&0u32, horizon);
         for i in 0..n {
             set.step_engine(&mut st, &0, &"go", &0, Rat::from(i as i64));
         }

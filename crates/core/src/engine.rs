@@ -1,68 +1,53 @@
 //! The compiled condition engine: **one** obligation stepper under every
 //! evaluator of timing-condition semantics.
 //!
-//! Definition 3.1 (semi-satisfaction) used to be interpreted in several
-//! places — the offline scanners in [`satisfaction`](crate::satisfies),
-//! the incremental `tempo-monitor` `Monitor`, and the predictor's shadow
-//! tracking — each re-evaluating the boxed trigger/action/disable
-//! closures of every [`TimingCondition`] per event per consumer. This
-//! module factors that out:
-//!
-//! * [`CompiledConditionSet`] interns a condition set once: the `Arc`'d
-//!   predicates plus dense per-condition bound tables (`b_l`, finite
-//!   `b_u`), and — for conditions whose `T_step`/`Π`/disabling
-//!   components are declarative [`ActionSet`]s — an
-//!   action **interner** (dense `u32` ids) with per-action bitmask rows
-//!   (which conditions each action triggers / serves / disables). On the
-//!   hot path, classifying an event against *n* declarative conditions
-//!   is then one hash lookup plus a few word-sized table reads instead
-//!   of *n* boxed-closure calls; conditions that keep opaque closures
-//!   are tracked in per-component fallback masks and only they pay
-//!   closure dispatch (see [`DispatchStats`]).
-//! * [`EventClassification`] is the per-event digest — three bitsets
-//!   (`Π`-membership, disabling post-state, `T_step` trigger) computed
-//!   **once per event for all conditions**, then shared by every
-//!   consumer.
-//! * [`EngineState`] owns the open-obligation bookkeeping, and
-//!   [`CompiledConditionSet::step`] resolves one event against it,
-//!   returning the event's [`EngineEvent`] log (obligations opened,
-//!   discharged, violated) from which offline violation lists, monitor
-//!   verdicts, metrics, and predictor warnings are all derived.
-//!
-//! * The engine runs on one of two **backends** behind [`EngineImpl`]:
-//!   the exact stepper over [`EngineState`] (`Rat` arithmetic,
-//!   always available, the semantic reference), and a monomorphized
-//!   integer-time stepper over [`IntEngineState`] — bounds scaled to
-//!   `u64` ticks at compile time, obligations in a struct-of-arrays
-//!   store — selected automatically when every bound fits the tick
-//!   domain and **exactly** equivalent (conversion is exact-or-spill,
-//!   never rounded; see [`CompiledConditionSet::int_capable`]).
-//!
 //! The offline checkers ([`violations`](crate::violations),
 //! [`semi_satisfies`](crate::semi_satisfies),
-//! [`check_timed_execution`](crate::check_timed_execution)) are folds of
-//! this engine over a [`TimedSequence`]; the streaming monitor holds one
-//! [`EngineImpl`] and feeds it live events. Agreement between them
-//! holds by construction — they run the same code.
+//! [`check_timed_execution`](crate::check_timed_execution)) fold this
+//! engine over a [`TimedSequence`]; `tempo-monitor`'s `Monitor` holds
+//! one [`EngineImpl`] per stream and feeds it live events. Agreement
+//! between them holds by construction — they run the same code.
+//!
+//! * [`CompiledConditionSet`] interns a condition set once: the `Arc`'d
+//!   predicates, the bound table, and — for conditions whose
+//!   `T_step`/`Π`/disabling components are declarative [`ActionSet`]s —
+//!   an action **interner** (dense `u32` ids) with per-action bitmask
+//!   rows (which conditions each action triggers / serves / disables).
+//!   Classifying an event against *n* declarative conditions is then one
+//!   hash lookup plus a few word-sized table reads instead of *n*
+//!   boxed-closure calls; conditions that keep opaque closures are
+//!   tracked in per-component fallback masks and only they pay closure
+//!   dispatch (see [`DispatchStats`]).
+//! * The stepper (Definition 3.1's per-trigger obligations) keeps open
+//!   obligations in a struct-of-arrays store with deadline watermarks,
+//!   and is generic over its [`TimeDomain`]: `u64` ticks when every
+//!   bound fits a common tick grid ([`IntEngineState`]), exact `Rat`s
+//!   otherwise ([`EngineState`], also the snapshot form). A stream's
+//!   domain follows from its bounds and event times alone; an event time
+//!   off the grid re-instantiates the stream in `Rat` losslessly before
+//!   the step ([`EngineImpl`]).
+//! * Each step returns the event's [`EngineEvent`] log — obligations
+//!   opened, discharged, violated, warned about (`Lt`), or forced open
+//!   (`Ft`) — from which offline violation lists, monitor verdicts,
+//!   metrics, and predictive reports are all derived.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use tempo_math::Rat;
+use tempo_math::{Rat, TimeScale};
 
 use crate::satisfaction::{SatisfactionMode, Violation, ViolationKind};
 use crate::{ActionSet, TimedSequence, TimingCondition};
 
-// The integer-time fast backend lives in its own file but is a *child*
-// module, so it shares this module's private obligation bookkeeping
-// (`EngineState` fields, `CondSpec`, the `Classify` carriers).
+// The stepper lives in its own file as a child module, so it shares this
+// module's private dispatch carriers (`Classify`, the bitset helpers).
 #[path = "engine_int.rs"]
 mod int;
 
-pub use int::IntEngineState;
-pub(crate) use int::IntPlan;
+use int::Plan;
+pub use int::{EngineState, IntEngineState, SoaState, TimeDomain};
 
 /// What an open obligation is waiting for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,86 +74,6 @@ pub struct Obligation {
     pub trigger_index: usize,
     /// What the obligation waits for.
     pub kind: ObligationKind,
-}
-
-/// How an obligation was resolved by an event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Resolution {
-    /// Still open: the event neither discharged nor violated it.
-    Open,
-    /// Discharged: the obligation can no longer be violated.
-    Discharged,
-    /// Violated by this event.
-    Violated,
-}
-
-impl Obligation {
-    /// Resolves the obligation against one event at (nondecreasing) time
-    /// `t`, where `in_pi` says whether the event's action is in `Π` and
-    /// `in_disabling` whether its *post*-state is in the disabling set.
-    ///
-    /// This is the single point where Definition 3.1's per-trigger
-    /// semantics live, including the ordering subtlety that a disabling
-    /// post-state excuses only *later* events, never the `Π`-check of
-    /// its own event.
-    #[inline]
-    pub fn resolve(&self, t: Rat, in_pi: bool, in_disabling: bool) -> Resolution {
-        self.resolve_in(t, in_pi, in_disabling, true)
-    }
-
-    /// [`resolve`](Obligation::resolve) with the lower bound's disabling
-    /// escape made optional: Definition 2.1's lower bound (timed
-    /// executions of a boundmap) has no escape clause, Definition 2.2's
-    /// does.
-    #[inline]
-    fn resolve_in(
-        &self,
-        t: Rat,
-        in_pi: bool,
-        in_disabling: bool,
-        lower_escape: bool,
-    ) -> Resolution {
-        match self.kind {
-            ObligationKind::Lower { earliest } => {
-                if t >= earliest {
-                    // The forbidden window is over; nothing can violate it.
-                    Resolution::Discharged
-                } else if in_pi {
-                    Resolution::Violated
-                } else if lower_escape && in_disabling {
-                    // An intervening disabling state suspends the bound
-                    // for every later event, so the obligation is dead.
-                    Resolution::Discharged
-                } else {
-                    Resolution::Open
-                }
-            }
-            ObligationKind::Upper { deadline } => {
-                if t > deadline {
-                    // Times are nondecreasing: the deadline has definitely
-                    // passed unserved.
-                    Resolution::Violated
-                } else if in_pi || in_disabling {
-                    Resolution::Discharged
-                } else {
-                    Resolution::Open
-                }
-            }
-        }
-    }
-}
-
-/// One entry of the dense per-condition bound table: everything the
-/// stepper needs about a condition, predicates excluded.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CondSpec {
-    /// Cached `b_l` (a window obligation only opens when it is positive).
-    pub(crate) lower: Rat,
-    /// Cached finite `b_u`, if any (no deadline obligation opens for ∞).
-    pub(crate) upper: Option<Rat>,
-    /// Whether a disabling state discharges an open lower-bound window
-    /// (Definitions 2.2/3.1: yes; Definition 2.1: no).
-    pub(crate) lower_escape: bool,
 }
 
 /// The compiled action-dispatch tables of one condition set: an
@@ -355,7 +260,7 @@ pub struct DispatchStats {
 /// bitsets, filled once per event by
 /// [`CompiledConditionSet::classify`] (or by hand for non-condition
 /// sources such as boundmap classes) and then read by
-/// [`CompiledConditionSet::step`].
+/// [`CompiledConditionSet::step_classified`].
 #[derive(Clone, Debug, Default)]
 pub struct EventClassification {
     pi: Vec<u64>,
@@ -447,10 +352,10 @@ pub(crate) trait Classify {
     /// Whether the event's post-state is disabling for condition `ci`.
     fn disabling(&self, ci: usize) -> bool;
     /// Whether the event is a `T_step` trigger of condition `ci` — the
-    /// sparse stepper's per-condition scan.
+    /// open phase's per-condition scan for sets without table bits.
     fn trigger(&self, ci: usize) -> bool;
     /// The whole `w`-th 64-condition word of trigger bits at once — the
-    /// dense stepper's trigger scan iterates set bits of these words, so
+    /// open phase of a set with table bits iterates these words, so
     /// an event that triggers nothing costs one word read per 64
     /// conditions.
     fn trigger_word(&self, w: usize) -> u64;
@@ -477,7 +382,7 @@ impl Classify for EventClassification {
 
 /// Lazy classification of one live event against the compiled dispatch
 /// tables, with closure fallback for the opaque conditions (see
-/// [`CompiledConditionSet::step_event`]). The event action's dispatch
+/// [`CompiledConditionSet::step_engine`]). The event action's dispatch
 /// row is resolved **once**, when the event is built: the three `*_row`
 /// slices below are that row's table words, so the per-condition checks
 /// are plain indexed bit reads.
@@ -568,7 +473,7 @@ impl<S, A: PartialEq> Classify for LiveEvent<'_, S, A> {
 /// so answering through the condition is always correct — the tables
 /// are purely the faster route when they are populated. A sparse set
 /// (`Dispatch::dense == false`) has nothing in its tables, so
-/// [`CompiledConditionSet::step_event`] classifies through this
+/// [`CompiledConditionSet::step_engine`] classifies through this
 /// deliberately minimal carrier instead: per event it costs exactly
 /// what the pre-dispatch engine paid, one closure call per query.
 struct DirectEvent<'e, S, A> {
@@ -598,8 +503,8 @@ impl<S, A> Classify for DirectEvent<'_, S, A> {
     }
     #[inline]
     fn trigger_word(&self, w: usize) -> u64 {
-        // Only the dense stepper reads trigger words, and a sparse set
-        // never takes that path; answer correctly anyway.
+        // Only sets with table bits read trigger words, and a sparse
+        // set never does; answer correctly anyway.
         let mut word = 0;
         for b in 0..64 {
             let ci = w * 64 + b;
@@ -614,13 +519,11 @@ impl<S, A> Classify for DirectEvent<'_, S, A> {
     }
 }
 
-/// One entry of the event log produced by a [`step`]: an obligation
+/// One entry of the event log produced by a step: an obligation
 /// opened, discharged, or violated. Consumers (the offline fold, the
 /// monitor's verdicts and metrics, the predictor's warnings) are all
 /// driven from this log, so none keeps obligation bookkeeping of its
 /// own.
-///
-/// [`step`]: CompiledConditionSet::step
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineEvent {
     /// A trigger opened a new obligation at trigger time `t_i`.
@@ -688,399 +591,48 @@ pub enum EngineEvent {
     },
 }
 
-/// One stored open obligation plus its predictive bookkeeping: the
-/// absolute warning point of an upper deadline, and whether its
-/// [`EngineEvent::Warned`] has already been emitted. Entries that can
-/// never warn — lower windows, and every obligation while no horizon is
-/// attached — are stored pre-`warned`, so the warning sweep skips them
-/// without consulting the kind or the horizon.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct OpenOb {
-    /// The obligation itself (the logical, serialized state).
-    pub(crate) ob: Obligation,
-    /// Absolute warning point `max(deadline − horizon, t_i)`; only
-    /// meaningful while `warned` is false.
-    pub(crate) warn_at: Rat,
-    /// Whether this entry's warning has been emitted (or never applies).
-    pub(crate) warned: bool,
-}
-
-impl OpenOb {
-    /// A non-predictive entry: no warning will ever be emitted for it.
-    pub(crate) fn plain(ob: Obligation) -> OpenOb {
-        OpenOb {
-            ob,
-            warn_at: Rat::ZERO,
-            warned: true,
-        }
-    }
-}
-
-/// The engine's whole mutable state: the open obligations per condition
-/// plus the stream position. Deliberately independent of the monitored
-/// state and action types, so it can be snapshotted, restored, and
-/// (behind the `serde` feature) serialized to persist a long-lived
-/// stream across restarts.
-#[derive(Clone, Debug)]
-pub struct EngineState {
-    /// Open obligations, per condition.
-    open: Vec<Vec<OpenOb>>,
-    /// Bitmask of conditions with at least one open obligation, kept in
-    /// exact sync with `open`: the stepper's resolution scan iterates
-    /// its set bits, so quiescent conditions cost one word read per 64.
-    active: Vec<u64>,
-    /// Time of the last stepped event (initially 0).
-    last_time: Rat,
-    /// Number of events stepped so far.
-    events_seen: usize,
-    /// Reusable event-log buffer (not part of the logical state).
-    events: Vec<EngineEvent>,
-    /// Whether [`EngineEvent::Opened`]/[`EngineEvent::Discharged`] are
-    /// logged (violations always are). Runtime configuration, not part
-    /// of the logical state: consumers with no obligation-lifecycle
-    /// listener turn it off to keep the per-event hot path free of log
-    /// traffic.
-    log_lifecycle: bool,
-    /// The attached warning horizon: `Some(h)` makes the steppers emit
-    /// [`EngineEvent::Warned`]/[`EngineEvent::Forced`] predictive
-    /// outcomes, `None` (the default) keeps prediction entirely off.
-    /// Attached by [`CompiledConditionSet::adopt_state_predictive`],
-    /// not serialized — a resumed snapshot re-arms explicitly.
-    horizon: Option<Rat>,
-    /// The warning watermark: the minimum `warn_at` over open unwarned
-    /// deadlines, or `None` when nothing is pending. The steppers only
-    /// run the warning sweep when the event time passes it, so events
-    /// that cannot owe a warning pay one comparison. May be stale *low*
-    /// after an unwarned deadline is discharged (the sweep recomputes
-    /// it exactly), never stale high.
-    warn_watermark: Option<Rat>,
-}
-
-impl Default for EngineState {
-    /// An empty state tracking no conditions, lifecycle logging on.
-    fn default() -> EngineState {
-        EngineState::new(0)
-    }
-}
-
-impl EngineState {
-    /// Empty state for `conditions` conditions, with no obligations
-    /// open. [`CompiledConditionSet::start`] is the usual constructor —
-    /// it also opens the start-state triggers.
-    pub fn new(conditions: usize) -> EngineState {
-        EngineState {
-            open: vec![Vec::new(); conditions],
-            active: vec![0; conditions.div_ceil(64)],
-            last_time: Rat::ZERO,
-            events_seen: 0,
-            events: Vec::new(),
-            log_lifecycle: true,
-            horizon: None,
-            warn_watermark: None,
-        }
-    }
-
-    /// Turns [`EngineEvent::Opened`]/[`EngineEvent::Discharged`] logging
-    /// on or off (on by default; [`EngineEvent::Violated`] is always
-    /// logged). Checkers that only consume violations turn it off so
-    /// obligation churn never touches the event log.
-    pub fn set_log_lifecycle(&mut self, on: bool) {
-        self.log_lifecycle = on;
-    }
-
-    /// Number of conditions this state tracks.
-    pub fn conditions(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Number of events stepped so far.
-    pub fn events_seen(&self) -> usize {
-        self.events_seen
-    }
-
-    /// Time of the last stepped event (0 before any event).
-    pub fn last_time(&self) -> Rat {
-        self.last_time
-    }
-
-    /// Total number of currently open obligations.
-    pub fn open_obligations(&self) -> usize {
-        self.open.iter().map(Vec::len).sum()
-    }
-
-    /// The open obligations of condition `ci`, in no particular order.
-    pub fn open_of(&self, ci: usize) -> Vec<Obligation> {
-        self.open[ci].iter().map(|o| o.ob).collect()
-    }
-
-    /// The attached warning horizon, if prediction is on (see
-    /// [`CompiledConditionSet::adopt_state_predictive`]).
-    pub fn horizon(&self) -> Option<Rat> {
-        self.horizon
-    }
-
-    /// The earliest open deadline, if any deadline is open:
-    /// `min_deadline − last_time` is the stream's minimum upper-bound
-    /// slack, the `Lt` reading the monitor's metrics track.
-    pub fn min_deadline(&self) -> Option<Rat> {
-        let mut min: Option<Rat> = None;
-        for obs in &self.open {
-            for o in obs {
-                if let ObligationKind::Upper { deadline } = o.ob.kind {
-                    min = Some(match min {
-                        Some(m) if m <= deadline => m,
-                        _ => deadline,
-                    });
-                }
-            }
-        }
-        min
-    }
-
-    /// Re-indexes this state for a new condition set — the state-level
-    /// half of hot spec reload.
-    ///
-    /// `map[ci]` gives the index in the *new* set of the condition that
-    /// was at index `ci` here, or `None` if it no longer exists (the
-    /// map's length must equal [`conditions`](Self::conditions), and
-    /// `new_conditions` bounds its targets). Obligations of preserved
-    /// conditions carry over **verbatim** — their deadlines are
-    /// absolute times fixed when the trigger fired, and revising a spec
-    /// does not revise history; the new bounds govern triggers that
-    /// fire after the swap. Obligations of dropped conditions are
-    /// returned alongside the new state, tagged with their *old*
-    /// condition index, so the caller can report them as closed rather
-    /// than lose them silently.
-    ///
-    /// Stream position (`last_time`, `events_seen`), the lifecycle
-    /// logging flag, and the predictive state (horizon, per-obligation
-    /// warning points and warned flags — warning points were fixed when
-    /// each trigger fired, so a reload never re-warns or un-warns
-    /// carried obligations) carry over; the event-log buffer starts
-    /// empty.
-    pub fn remap(
-        &self,
-        map: &[Option<usize>],
-        new_conditions: usize,
-    ) -> (EngineState, Vec<(usize, Obligation)>) {
-        assert_eq!(
-            map.len(),
-            self.open.len(),
-            "remap map must cover every old condition"
-        );
-        let mut next = EngineState::new(new_conditions);
-        next.last_time = self.last_time;
-        next.events_seen = self.events_seen;
-        next.log_lifecycle = self.log_lifecycle;
-        next.horizon = self.horizon;
-        let mut dropped = Vec::new();
-        for (ci, obs) in self.open.iter().enumerate() {
-            match map[ci] {
-                Some(ni) => {
-                    assert!(ni < new_conditions, "remap target out of range");
-                    for &o in obs {
-                        next.open[ni].push(o);
-                        bit_set(&mut next.active, ni);
-                        if !o.warned {
-                            next.warn_watermark = Some(match next.warn_watermark {
-                                Some(w) if w <= o.warn_at => w,
-                                _ => o.warn_at,
-                            });
-                        }
-                    }
-                }
-                None => dropped.extend(obs.iter().map(|o| (ci, o.ob))),
-            }
-        }
-        (next, dropped)
-    }
-
-    /// Opens a trigger's (up to two) obligations and logs them.
-    ///
-    /// `inline(always)`: this is the open-phase body of both steppers;
-    /// left to its own devices LLVM outlines it, which puts a call (and
-    /// the spilled loop state around it) on the per-event hot path —
-    /// measured at several ns/event on the E12 pulse stream.
-    #[inline(always)]
-    pub(crate) fn open_trigger(
-        &mut self,
-        spec: &CondSpec,
-        ci: usize,
-        trigger_index: usize,
-        t_i: Rat,
-    ) {
-        // A zero lower bound can never be violated (times are
-        // nondecreasing), so no window obligation opens for it.
-        if spec.lower > Rat::ZERO {
-            let earliest = t_i + spec.lower;
-            let ob = Obligation {
-                trigger_index,
-                kind: ObligationKind::Lower { earliest },
-            };
-            self.open[ci].push(OpenOb::plain(ob));
-            bit_set(&mut self.active, ci);
-            if self.log_lifecycle {
-                self.events.push(EngineEvent::Opened {
-                    ci,
-                    obligation: ob,
-                    t_i,
-                });
-            }
-            if let Some(h) = self.horizon {
-                // Ft(U): the window keeps Π away for at least a full
-                // horizon — report the forced window once, as it opens.
-                if h > Rat::ZERO && spec.lower >= h {
-                    self.events.push(EngineEvent::Forced {
-                        ci,
-                        trigger_index,
-                        earliest,
-                        t_i,
-                        margin: spec.lower,
-                    });
-                }
-            }
-        }
-        // An infinite upper bound imposes no deadline.
-        if let Some(b_u) = spec.upper {
-            let deadline = t_i + b_u;
-            let ob = Obligation {
-                trigger_index,
-                kind: ObligationKind::Upper { deadline },
-            };
-            // Lt(U): fix the warning point now; the sweep emits the
-            // warning when an event passes it.
-            let entry = match self.horizon {
-                Some(h) => {
-                    let warn_at = if h < b_u { deadline - h } else { t_i };
-                    self.warn_watermark = Some(match self.warn_watermark {
-                        Some(w) if w <= warn_at => w,
-                        _ => warn_at,
-                    });
-                    OpenOb {
-                        ob,
-                        warn_at,
-                        warned: false,
-                    }
-                }
-                None => OpenOb::plain(ob),
-            };
-            self.open[ci].push(entry);
-            bit_set(&mut self.active, ci);
-            if self.log_lifecycle {
-                self.events.push(EngineEvent::Opened {
-                    ci,
-                    obligation: ob,
-                    t_i,
-                });
-            }
-        }
-    }
-
-    /// Emits every owed [`EngineEvent::Warned`] — open unwarned
-    /// deadlines whose warning point `time` has strictly passed — and
-    /// recomputes the warning watermark exactly. Only called once an
-    /// event passes the watermark, so it is cold relative to the
-    /// steppers; the scan canonicalizes its emission order to
-    /// (condition, trigger index) since storage order is a
-    /// `swap_remove` artifact that differs across backends.
-    #[inline(never)]
-    fn sweep_warnings(&mut self, time: Rat) {
-        let mark = self.events.len();
-        let mut next: Option<Rat> = None;
-        for w in 0..self.active.len() {
-            let mut act = self.active[w];
-            while act != 0 {
-                let ci = w * 64 + act.trailing_zeros() as usize;
-                act &= act - 1;
-                for o in &mut self.open[ci] {
-                    if o.warned {
-                        continue;
-                    }
-                    if time > o.warn_at {
-                        o.warned = true;
-                        if let ObligationKind::Upper { deadline } = o.ob.kind {
-                            self.events.push(EngineEvent::Warned {
-                                ci,
-                                trigger_index: o.ob.trigger_index,
-                                deadline,
-                                warn_at: o.warn_at,
-                            });
-                        }
-                    } else {
-                        next = Some(match next {
-                            Some(n) if n <= o.warn_at => n,
-                            _ => o.warn_at,
-                        });
-                    }
-                }
-            }
-        }
-        self.warn_watermark = next;
-        if self.events.len() - mark > 1 {
-            self.events[mark..].sort_by_key(|ev| match ev {
-                EngineEvent::Warned {
-                    ci, trigger_index, ..
-                } => (*ci, *trigger_index),
-                _ => (usize::MAX, usize::MAX),
-            });
-        }
-    }
-}
-
-/// Which obligation-stepper backend a stream is running on.
+/// Which time domain a stream's stepper is running in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineBackend {
-    /// The exact backend: obligations carry `Rat` bounds and every time
-    /// comparison is exact rational arithmetic. Always available;
-    /// semantically the reference.
+    /// Exact `Rat`s ([`EngineState`]): always available.
     Exact,
-    /// The monomorphized integer backend: bounds scaled to `u64` ticks
-    /// at compile time, open obligations in a struct-of-arrays store
-    /// ([`IntEngineState`]). Chosen automatically when every bound fits
-    /// the tick domain; verdicts are identical to [`EngineBackend::Exact`]
-    /// by construction (conversion is exact-or-spill, never rounded).
+    /// `u64` ticks ([`IntEngineState`]): bounds and times scaled onto a
+    /// common tick grid. Taken whenever every bound fits the grid;
+    /// verdicts are identical to [`EngineBackend::Exact`] by
+    /// construction (conversion is exact or refused, never rounded).
     Int,
 }
 
-/// Backend selection policy for new engine states (and for adopting
-/// resumed snapshots).
-///
-/// There is deliberately no "force integer" choice: the integer backend
-/// exists only where it is *exactly* equivalent, so it can only be
-/// auto-selected — asking for it on a set with unscalable bounds could
-/// not preserve semantics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Integer backend when the compiled set is
-    /// [`int_capable`](CompiledConditionSet::int_capable), exact
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Always the exact backend — the differential oracle in CI, and
-    /// the debugging escape hatch.
-    Exact,
-}
-
-/// A stream's engine state, on whichever backend it is running — the
-/// handle `tempo-monitor`'s `Monitor` and the offline folds thread
-/// through the steppers.
+/// A stream's engine state, in whichever time domain it is running —
+/// the handle `tempo-monitor`'s `Monitor` and the offline folds thread
+/// through the stepper.
 ///
 /// Snapshots always materialize as the exact [`EngineState`]
-/// ([`EngineImpl::snapshot`]) — the integer form converts losslessly —
-/// so serialization, hot-reload remapping, and resume are
-/// backend-agnostic: a snapshot taken on one backend resumes on either.
+/// ([`EngineImpl::snapshot`]) — ticks convert losslessly — so
+/// serialization, hot-reload remapping, and resume are domain-agnostic:
+/// a snapshot taken in one domain resumes in either.
 #[derive(Clone, Debug)]
 pub enum EngineImpl {
-    /// Running on the exact `Rat` backend.
+    /// Running on exact `Rat`s.
     Exact(EngineState),
-    /// Running on the integer-tick backend.
+    /// Running on `u64` ticks.
     Int(IntEngineState),
 }
 
+/// Forwards a read-only accessor to whichever instantiation is running.
+macro_rules! either {
+    ($self:expr, $st:ident => $e:expr) => {
+        match $self {
+            EngineImpl::Exact($st) => $e,
+            EngineImpl::Int($st) => $e,
+        }
+    };
+}
+
 impl EngineImpl {
-    /// Which backend this state is currently on. A stream that started
-    /// on [`EngineBackend::Int`] reports [`EngineBackend::Exact`] after
-    /// spilling (an event time its tick scale could not represent).
+    /// Which time domain this state is currently in. A stream that
+    /// started on [`EngineBackend::Int`] reports [`EngineBackend::Exact`]
+    /// after an event time its tick grid could not represent.
     pub fn backend(&self) -> EngineBackend {
         match self {
             EngineImpl::Exact(_) => EngineBackend::Exact,
@@ -1090,90 +642,68 @@ impl EngineImpl {
 
     /// Number of conditions this state tracks.
     pub fn conditions(&self) -> usize {
-        match self {
-            EngineImpl::Exact(st) => st.conditions(),
-            EngineImpl::Int(st) => st.conditions(),
-        }
+        either!(self, st => st.conditions())
     }
 
     /// Number of events stepped so far.
     pub fn events_seen(&self) -> usize {
-        match self {
-            EngineImpl::Exact(st) => st.events_seen(),
-            EngineImpl::Int(st) => st.events_seen(),
-        }
+        either!(self, st => st.events_seen())
     }
 
     /// Time of the last stepped event (0 before any event).
     pub fn last_time(&self) -> Rat {
-        match self {
-            EngineImpl::Exact(st) => st.last_time(),
-            EngineImpl::Int(st) => st.last_time(),
-        }
+        either!(self, st => st.last_time())
     }
 
     /// Total number of currently open obligations.
     pub fn open_obligations(&self) -> usize {
-        match self {
-            EngineImpl::Exact(st) => st.open_obligations(),
-            EngineImpl::Int(st) => st.open_obligations(),
-        }
+        either!(self, st => st.open_obligations())
     }
 
-    /// The open obligations of condition `ci`, materialized in the
-    /// exact domain (the integer backend stores them as ticks).
+    /// The open obligations of condition `ci`, in the exact domain,
+    /// ordered by (trigger, window before deadline).
     pub fn open_of(&self, ci: usize) -> Vec<Obligation> {
-        match self {
-            EngineImpl::Exact(st) => st.open_of(ci),
-            EngineImpl::Int(st) => st.open_of(ci),
-        }
+        either!(self, st => st.open_of(ci))
     }
 
     /// The attached warning horizon, if prediction is on.
     pub fn horizon(&self) -> Option<Rat> {
-        match self {
-            EngineImpl::Exact(st) => st.horizon(),
-            EngineImpl::Int(st) => st.horizon(),
-        }
+        either!(self, st => st.horizon())
     }
 
     /// The earliest open deadline, if any deadline is open:
     /// `min_deadline − last_time` is the stream's minimum upper-bound
-    /// slack. O(1) on the integer backend (its deadline watermark is
-    /// exact), a scan of the open store on the exact backend.
+    /// slack. O(1) in both domains: read off the deadline watermark.
     pub fn min_deadline(&self) -> Option<Rat> {
-        match self {
-            EngineImpl::Exact(st) => st.min_deadline(),
-            EngineImpl::Int(st) => st.min_deadline_rat(),
-        }
+        either!(self, st => st.min_deadline())
     }
 
     /// Turns obligation-lifecycle logging on or off (see
-    /// [`EngineState::set_log_lifecycle`]).
+    /// [`SoaState::set_log_lifecycle`]).
     pub fn set_log_lifecycle(&mut self, on: bool) {
-        match self {
-            EngineImpl::Exact(st) => st.set_log_lifecycle(on),
-            EngineImpl::Int(st) => st.set_log_lifecycle(on),
-        }
+        either!(self, st => st.set_log_lifecycle(on))
     }
 
-    /// A backend-agnostic snapshot of the logical state, as the exact
+    /// The reusable event-log buffer, drained in place by the folds.
+    fn events_mut(&mut self) -> &mut Vec<EngineEvent> {
+        either!(self, st => st.events_mut())
+    }
+
+    /// A domain-agnostic snapshot of the logical state, as the exact
     /// [`EngineState`]: the serializable, remappable, resumable form.
-    /// The integer backend's conversion is lossless (ticks are exact
-    /// rationals), so snapshot → resume round-trips across backends.
     pub fn snapshot(&self) -> EngineState {
         match self {
             EngineImpl::Exact(st) => st.clone(),
-            EngineImpl::Int(st) => st.to_exact(),
+            EngineImpl::Int(st) => st.rescale(()).expect("ticks convert exactly"),
         }
     }
 
     /// Like [`snapshot`](EngineImpl::snapshot), consuming self (no
-    /// clone on the exact backend) — the hot-reload remap path.
+    /// clone in the exact domain) — the hot-reload remap path.
     pub fn into_exact(self) -> EngineState {
         match self {
             EngineImpl::Exact(st) => st,
-            EngineImpl::Int(st) => st.to_exact(),
+            EngineImpl::Int(st) => st.rescale(()).expect("ticks convert exactly"),
         }
     }
 }
@@ -1185,337 +715,112 @@ impl Default for EngineImpl {
     }
 }
 
-/// [`step_specs`] lifted over [`EngineImpl`]: routes to the integer
-/// stepper when the state is on the integer backend and the event time
-/// fits its tick domain, **spilling to exact first** otherwise — the
-/// conversion happens before any mutation, so a step is never partial.
-/// Shared by [`CompiledConditionSet::step_engine`] and the offline
-/// boundmap checker (which builds its own spec table and plan).
-#[inline(always)]
-pub(crate) fn step_specs_impl<'a, C: Classify>(
-    specs: &[CondSpec],
-    plan: Option<&IntPlan>,
-    st: &'a mut EngineImpl,
-    cls: &C,
-    time: Rat,
-    dense: bool,
-) -> &'a [EngineEvent] {
-    let ticks = match (&*st, plan) {
-        (EngineImpl::Int(_), Some(p)) => p.scale.to_ticks(time).filter(|&t| p.safe_ticks(t)),
-        _ => None,
-    };
-    if ticks.is_none() {
-        // Unrepresentable event time (or deadline headroom exhausted):
-        // spill losslessly to the exact backend and continue there.
-        if let EngineImpl::Int(ist) = &*st {
-            let exact = ist.to_exact();
-            *st = EngineImpl::Exact(exact);
+/// A bound table compiled for stepping: the exact plan every stream can
+/// run on, plus its `u64`-tick lowering when every bound fits a common
+/// grid. Shared by [`CompiledConditionSet`] and the boundmap checker,
+/// which classifies by partition class instead of by condition.
+#[derive(Clone, Debug)]
+pub(crate) struct EnginePlan {
+    exact: Plan<Rat>,
+    int: Option<Plan<u64>>,
+}
+
+impl EnginePlan {
+    /// Compiles `(b_l, finite b_u, lower escape)` triples, one per
+    /// condition.
+    pub(crate) fn new(bounds: impl IntoIterator<Item = (Rat, Option<Rat>, bool)>) -> EnginePlan {
+        let exact = Plan::new(bounds);
+        EnginePlan {
+            int: exact.to_ticks(),
+            exact,
         }
     }
-    match st {
-        EngineImpl::Int(ist) => int::step_int(
-            plan.expect("integer engine state requires an int plan"),
-            ist,
-            cls,
-            ticks.expect("checked above"),
-            dense,
-        ),
-        EngineImpl::Exact(est) => step_specs(specs, est, cls, time, dense),
-    }
-}
 
-/// [`finish_specs`] lifted over [`EngineImpl`].
-pub(crate) fn finish_specs_impl<'a>(
-    specs: &[CondSpec],
-    st: &'a mut EngineImpl,
-    mode: SatisfactionMode,
-) -> &'a [EngineEvent] {
-    match st {
-        EngineImpl::Exact(est) => finish_specs(specs, est, mode),
-        EngineImpl::Int(ist) => int::finish_int(ist, mode),
+    /// A fresh state for `conditions` conditions with the start-state
+    /// triggers (index 0, time 0) of every `ci` with `starts(ci)` open:
+    /// on ticks when the plan lowers onto a grid, exact otherwise.
+    pub(crate) fn start(&self, conditions: usize, starts: impl Fn(usize) -> bool) -> EngineImpl {
+        let mut st = match &self.int {
+            Some(p) => {
+                let mut st = IntEngineState::empty(conditions, p.scale);
+                (0..conditions)
+                    .filter(|&ci| starts(ci))
+                    .for_each(|ci| st.open_trigger(p, ci, 0, 0));
+                EngineImpl::Int(st)
+            }
+            None => {
+                let mut st = EngineState::new(conditions);
+                (0..conditions)
+                    .filter(|&ci| starts(ci))
+                    .for_each(|ci| st.open_trigger(&self.exact, ci, 0, Rat::ZERO));
+                EngineImpl::Exact(st)
+            }
+        };
+        st.events_mut().clear();
+        st
     }
-}
 
-/// Steps one classified event against the open obligations (spec-level:
-/// shared by [`CompiledConditionSet`] and the boundmap checker, which
-/// classifies by partition class instead of by condition).
-///
-/// The order inside the returned log is load-bearing and mirrors the
-/// definitions exactly: per condition, the event is first weighed
-/// against the *existing* obligations (a trigger's bounds constrain
-/// strictly later events, `j > i`), and only then may it open new ones —
-/// so a trigger event never serves its own freshly opened bound.
-///
-/// `Π`/disabling classification is only requested for conditions that
-/// hold open obligations, so a lazy [`Classify`] source pays nothing
-/// for quiescent conditions.
-///
-/// `dense` selects the loop strategy. A set with any dispatch-table
-/// bits walks word masks ([`step_specs_dense`]): the resolve phase
-/// visits only the set bits of the active mask, the open phase only the
-/// set bits of the trigger words, so classification cost scales with
-/// the conditions the event is *relevant to* rather than with the set
-/// size. A fully opaque set has no table words to scan — every
-/// classification is a closure call regardless — so it runs the plain
-/// per-condition loop ([`step_specs_sparse`]) and pays none of the mask
-/// machinery.
-#[inline]
-pub(crate) fn step_specs<'a, C: Classify>(
-    specs: &[CondSpec],
-    st: &'a mut EngineState,
-    cls: &C,
-    time: Rat,
-    dense: bool,
-) -> &'a [EngineEvent] {
-    if dense {
-        step_specs_dense(specs, st, cls, time)
-    } else {
-        step_specs_sparse(specs, st, cls, time)
-    }
-}
-
-/// The word-mask stepper: see [`step_specs`]. Deliberately not
-/// inlined: a sparse set's per-event loop never takes this path, and
-/// keeping the mask machinery out of line keeps the common fold/observe
-/// loop bodies small.
-#[inline(never)]
-pub(crate) fn step_specs_dense<'a, C: Classify>(
-    specs: &[CondSpec],
-    st: &'a mut EngineState,
-    cls: &C,
-    time: Rat,
-) -> &'a [EngineEvent] {
-    assert!(
-        time >= st.last_time,
-        "monitored event times must be nondecreasing: {time} after {}",
-        st.last_time
-    );
-    st.events.clear();
-    st.events_seen += 1;
-    let j = st.events_seen;
-    // Warning sweep: owed warnings are emitted before this event's
-    // resolutions, so a deadline that blows in one jump still warns
-    // first. One comparison when no warning is pending.
-    if let Some(w) = st.warn_watermark {
-        if time > w {
-            st.sweep_warnings(time);
+    /// Adopts an exact state as is, onto ticks when the plan, the
+    /// horizon, and every open time fit the grid.
+    pub(crate) fn adopt(&self, st: EngineState) -> EngineImpl {
+        match self.int.as_ref().and_then(|p| st.rescale(p.scale)) {
+            Some(int) => EngineImpl::Int(int),
+            None => EngineImpl::Exact(st),
         }
     }
-    // Resolve phase: only conditions with open obligations are visited
-    // (set bits of the active mask), so `Π`/disabling classification is
-    // never requested for quiescent conditions. Per condition this
-    // still happens before the open phase below, preserving the
-    // definitions' order: a trigger's bounds constrain strictly later
-    // events only.
-    for w in 0..st.active.len() {
-        let mut act = st.active[w];
-        while act != 0 {
-            let ci = w * 64 + act.trailing_zeros() as usize;
-            act &= act - 1;
-            resolve_open(&specs[ci], st, cls, time, j, ci);
-            if st.open[ci].is_empty() {
-                bit_clear(&mut st.active, ci);
+
+    /// Steps one classified event. On ticks, an event time off the grid
+    /// (or without overflow headroom) re-instantiates the state in
+    /// `Rat` first — before any mutation, so a step is never partial.
+    #[inline(always)]
+    pub(crate) fn step<'a, C: Classify>(
+        &self,
+        st: &'a mut EngineImpl,
+        cls: &C,
+        time: Rat,
+        dense: bool,
+    ) -> &'a [EngineEvent] {
+        let ticks = match (&*st, &self.int) {
+            (EngineImpl::Int(_), Some(p)) => p
+                .scale
+                .to_ticks(time)
+                .filter(|&t| t < u64::MAX - p.max_bound),
+            _ => None,
+        };
+        if ticks.is_none() {
+            if let EngineImpl::Int(ist) = &*st {
+                *st = EngineImpl::Exact(ist.rescale(()).expect("ticks convert exactly"));
             }
         }
-    }
-    // Open phase: walk the set bits of the trigger words — for a
-    // declarative condition set these come straight out of the dispatch
-    // table, so an event that triggers nothing costs one word read per
-    // 64 conditions.
-    for w in 0..st.active.len() {
-        let mut trig = cls.trigger_word(w);
-        while trig != 0 {
-            let ci = w * 64 + trig.trailing_zeros() as usize;
-            trig &= trig - 1;
-            st.open_trigger(&specs[ci], ci, j, time);
+        match st {
+            EngineImpl::Int(ist) => int::step(
+                self.int.as_ref().expect("a tick state needs a tick plan"),
+                ist,
+                cls,
+                ticks.expect("checked above"),
+                dense,
+            ),
+            EngineImpl::Exact(est) => int::step(&self.exact, est, cls, time, dense),
         }
     }
-    st.last_time = time;
-    &st.events
-}
 
-/// The per-condition stepper for sparse sets: see [`step_specs`]. Kept
-/// as its own small function so the hot fold/monitor loops over opaque
-/// sets inline it whole, exactly like the pre-dispatch engine.
-#[inline]
-pub(crate) fn step_specs_sparse<'a, C: Classify>(
-    specs: &[CondSpec],
-    st: &'a mut EngineState,
-    cls: &C,
-    time: Rat,
-) -> &'a [EngineEvent] {
-    assert!(
-        time >= st.last_time,
-        "monitored event times must be nondecreasing: {time} after {}",
-        st.last_time
-    );
-    st.events.clear();
-    st.events_seen += 1;
-    let j = st.events_seen;
-    // Owed warnings first — see `step_specs_dense`.
-    if let Some(w) = st.warn_watermark {
-        if time > w {
-            st.sweep_warnings(time);
+    /// Ends the stream (see [`CompiledConditionSet::finish_engine`]).
+    pub(crate) fn finish<'a>(
+        &self,
+        st: &'a mut EngineImpl,
+        mode: SatisfactionMode,
+    ) -> &'a [EngineEvent] {
+        match st {
+            EngineImpl::Exact(est) => int::finish(est, mode),
+            EngineImpl::Int(ist) => int::finish(ist, mode),
         }
     }
-    for (ci, spec) in specs.iter().enumerate() {
-        if !st.open[ci].is_empty() {
-            resolve_open(spec, st, cls, time, j, ci);
-            if st.open[ci].is_empty() {
-                bit_clear(&mut st.active, ci);
-            }
-        }
-        if cls.trigger(ci) {
-            st.open_trigger(spec, ci, j, time);
-        }
-    }
-    st.last_time = time;
-    &st.events
-}
-
-/// Resolves condition `ci`'s open obligations against one classified
-/// event: the shared body of both [`step_specs`] loop strategies.
-#[inline]
-fn resolve_open<C: Classify>(
-    spec: &CondSpec,
-    st: &mut EngineState,
-    cls: &C,
-    time: Rat,
-    j: usize,
-    ci: usize,
-) {
-    let in_pi = cls.pi(ci);
-    let in_disabling = cls.disabling(ci);
-    let mark = st.events.len();
-    let open = &mut st.open[ci];
-    let mut k = 0;
-    while k < open.len() {
-        match open[k]
-            .ob
-            .resolve_in(time, in_pi, in_disabling, spec.lower_escape)
-        {
-            Resolution::Open => k += 1,
-            Resolution::Discharged => {
-                let ob = open.swap_remove(k).ob;
-                if st.log_lifecycle {
-                    st.events
-                        .push(EngineEvent::Discharged { ci, obligation: ob });
-                }
-            }
-            Resolution::Violated => {
-                let ob = open.swap_remove(k).ob;
-                let kind = match ob.kind {
-                    ObligationKind::Lower { earliest } => ViolationKind::LowerBound {
-                        trigger_index: ob.trigger_index,
-                        event_index: j,
-                        earliest,
-                    },
-                    ObligationKind::Upper { deadline } => ViolationKind::UpperBound {
-                        trigger_index: ob.trigger_index,
-                        deadline,
-                    },
-                };
-                st.events.push(EngineEvent::Violated { ci, kind });
-            }
-        }
-    }
-    // The scan visits obligations in storage order, which is an
-    // artifact of earlier `swap_remove` compactions. Canonicalize this
-    // event's emissions to (trigger index, lower before upper) so both
-    // engine backends report identical within-event order — the
-    // monitor's per-event `Verdict` surfaces the *first* violation.
-    if st.events.len() - mark > 1 {
-        st.events[mark..].sort_by_key(resolve_emission_order);
-    }
-}
-
-/// Sort key canonicalizing one condition's within-event resolve
-/// emissions: by opening trigger, lower window before upper deadline.
-/// Matches the integer backend's emission order exactly.
-fn resolve_emission_order(ev: &EngineEvent) -> (usize, bool) {
-    match ev {
-        EngineEvent::Discharged { obligation, .. } => (
-            obligation.trigger_index,
-            matches!(obligation.kind, ObligationKind::Upper { .. }),
-        ),
-        EngineEvent::Violated { kind, .. } => match kind {
-            ViolationKind::LowerBound { trigger_index, .. } => (*trigger_index, false),
-            ViolationKind::UpperBound { trigger_index, .. } => (*trigger_index, true),
-        },
-        // Never emitted by the resolve phase.
-        EngineEvent::Opened { .. } | EngineEvent::Warned { .. } | EngineEvent::Forced { .. } => {
-            (usize::MAX, true)
-        }
-    }
-}
-
-/// Ends the stream: drains every still-open obligation, logging a
-/// violation for each open deadline under [`SatisfactionMode::Complete`]
-/// and a discharge otherwise (spec-level twin of
-/// [`CompiledConditionSet::finish`]).
-pub(crate) fn finish_specs<'a>(
-    _specs: &[CondSpec],
-    st: &'a mut EngineState,
-    mode: SatisfactionMode,
-) -> &'a [EngineEvent] {
-    st.events.clear();
-    st.active.fill(0);
-    st.warn_watermark = None;
-    for ci in 0..st.open.len() {
-        let mut open = std::mem::take(&mut st.open[ci]);
-        // Same canonical order as the per-event resolve phase (and as
-        // the integer backend): by trigger, lower before upper.
-        open.sort_by_key(|o| {
-            (
-                o.ob.trigger_index,
-                matches!(o.ob.kind, ObligationKind::Upper { .. }),
-            )
-        });
-        for o in open {
-            match (mode, o.ob.kind) {
-                (SatisfactionMode::Complete, ObligationKind::Upper { deadline }) => {
-                    // The stream ends by violating this deadline: file
-                    // the owed warning first, exactly as a stepped
-                    // event past the deadline would have.
-                    if !o.warned {
-                        st.events.push(EngineEvent::Warned {
-                            ci,
-                            trigger_index: o.ob.trigger_index,
-                            deadline,
-                            warn_at: o.warn_at,
-                        });
-                    }
-                    st.events.push(EngineEvent::Violated {
-                        ci,
-                        kind: ViolationKind::UpperBound {
-                            trigger_index: o.ob.trigger_index,
-                            deadline,
-                        },
-                    });
-                }
-                _ => {
-                    // An open lower window has outlived nothing — no more
-                    // events can violate it; an open deadline under
-                    // Prefix semantics implies `t_end ≤ deadline`, so
-                    // some extension could still meet it (Definition
-                    // 3.1's excuse).
-                    if st.log_lifecycle {
-                        st.events.push(EngineEvent::Discharged {
-                            ci,
-                            obligation: o.ob,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    &st.events
 }
 
 /// A set of timing conditions compiled for shared evaluation: the
-/// interned predicates plus the dense bound tables the obligation
-/// stepper reads. One compiled set serves any number of concurrent
-/// [`EngineState`]s (streams), so a pool of monitors compiles its
+/// interned predicates plus the bound tables the obligation stepper
+/// reads. One compiled set serves any number of concurrent
+/// [`EngineImpl`]s (streams), so a pool of monitors compiles its
 /// conditions exactly once.
 ///
 /// This is the engine behind every evaluator of Definition 3.1:
@@ -1535,27 +840,23 @@ pub(crate) fn finish_specs<'a>(
 ///         .triggered_by_step(|_, a, _| *a == "REQ")
 ///         .on_actions(|a| *a == "GRANT");
 /// let set = CompiledConditionSet::new(&[cond]);
-/// let mut st = set.start(&0);
+/// let mut st = set.start_engine(&0);
 /// let mut cls = EventClassification::new(set.len());
 ///
 /// set.classify(&0, &"REQ", &1, &mut cls);
-/// let opened = set.step(&mut st, &cls, Rat::from(2)).len();
+/// let opened = set.step_classified(&mut st, &cls, Rat::from(2)).len();
 /// assert_eq!(opened, 2); // lower window + deadline
 ///
-/// set.classify(&1, &"GRANT", &0, &mut cls);
-/// for ev in set.step(&mut st, &cls, Rat::from(4)) {
+/// // The fused path classifies on the fly.
+/// for ev in set.step_engine(&mut st, &1, &"GRANT", &0, Rat::from(4)) {
 ///     assert!(matches!(ev, EngineEvent::Discharged { .. }));
 /// }
 /// assert_eq!(st.open_obligations(), 0);
 /// ```
 pub struct CompiledConditionSet<S, A> {
     conds: Vec<TimingCondition<S, A>>,
-    specs: Vec<CondSpec>,
+    plan: EnginePlan,
     dispatch: Dispatch<A>,
-    /// The integer-time lowering of the bound table, when every bound
-    /// fits the `u64` tick domain — `None` pins the set to the exact
-    /// backend (see [`IntPlan::from_specs`]).
-    int_plan: Option<IntPlan>,
     /// Condition names as shared strings: verdict payloads clone the
     /// `Arc`, never the bytes.
     names: Vec<Arc<str>>,
@@ -1574,23 +875,15 @@ impl<S, A> fmt::Debug for CompiledConditionSet<S, A> {
 
 impl<S, A: Clone + Eq + Hash + fmt::Debug> CompiledConditionSet<S, A> {
     /// Compiles `conds`: caches each condition's `b_l`/finite `b_u` in a
-    /// dense table, interns the (cheaply cloned, `Arc`'d) predicates,
-    /// and builds the action-dispatch tables — every action mentioned by
-    /// a declarative [`ActionSet`] gets a dense `u32` id and a bitmask
-    /// row over the conditions, so classification cost scales with the
-    /// conditions *relevant to* an action, not the set size.
+    /// bound table (lowered onto a `u64` tick grid when one fits),
+    /// interns the (cheaply cloned, `Arc`'d) predicates, and builds the
+    /// action-dispatch tables — every action mentioned by a declarative
+    /// [`ActionSet`] gets a dense `u32` id and a bitmask row over the
+    /// conditions, so classification cost scales with the conditions
+    /// *relevant to* an action, not the set size.
     pub fn new(conds: &[TimingCondition<S, A>]) -> CompiledConditionSet<S, A> {
-        let specs: Vec<CondSpec> = conds
-            .iter()
-            .map(|c| CondSpec {
-                lower: c.lower(),
-                upper: c.upper().finite(),
-                lower_escape: true,
-            })
-            .collect();
         CompiledConditionSet {
-            int_plan: IntPlan::from_specs(&specs),
-            specs,
+            plan: EnginePlan::new(conds.iter().map(|c| (c.lower(), c.upper().finite(), true))),
             dispatch: Dispatch::build(conds),
             names: conds.iter().map(|c| Arc::from(c.name())).collect(),
             pi_labels: conds.iter().map(pi_label).collect(),
@@ -1652,7 +945,7 @@ impl<S, A> CompiledConditionSet<S, A> {
 
     /// Cached finite upper bound `b_u` of condition `ci` (`None` for ∞).
     pub fn upper(&self, ci: usize) -> Option<Rat> {
-        self.specs[ci].upper
+        self.plan.exact.upper(ci)
     }
 
     /// The name of condition `ci` as a cheaply clonable shared string —
@@ -1668,103 +961,50 @@ impl<S, A> CompiledConditionSet<S, A> {
         &self.pi_labels[ci]
     }
 
-    /// Attaches (or, with `None`, detaches) a warning horizon to an
-    /// exact state: recomputes every open deadline's absolute warning
-    /// point from the compiled bounds — `warn_at = max(deadline −
-    /// horizon, t_i)` with `t_i = deadline − b_u` — and marks entries
-    /// whose point has already strictly passed as warned, so resuming
-    /// a snapshot never re-emits warnings the stream saw before it was
-    /// snapshotted.
-    fn arm_state(&self, st: &mut EngineState, horizon: Option<Rat>) {
-        st.horizon = horizon;
-        let last = st.last_time;
-        let mut next: Option<Rat> = None;
-        for (ci, obs) in st.open.iter_mut().enumerate() {
-            for o in obs.iter_mut() {
-                match (horizon, o.ob.kind) {
-                    (Some(h), ObligationKind::Upper { deadline }) => {
-                        let t_i = self.specs[ci].upper.map_or(Rat::ZERO, |b| deadline - b);
-                        o.warn_at = (deadline - h).max(t_i);
-                        o.warned = last > o.warn_at;
-                        if !o.warned {
-                            next = Some(match next {
-                                Some(n) if n <= o.warn_at => n,
-                                _ => o.warn_at,
-                            });
-                        }
-                    }
-                    _ => {
-                        o.warn_at = Rat::ZERO;
-                        o.warned = true;
-                    }
-                }
-            }
-        }
-        st.warn_watermark = next;
+    /// Whether every bound of this set fits a common `u64` tick grid —
+    /// i.e. whether streams start on [`EngineBackend::Int`]. Sets with
+    /// bounds off every grid (denominator LCM overflow, oversized
+    /// bounds) run exact.
+    pub fn int_capable(&self) -> bool {
+        self.plan.int.is_some()
     }
 
-    /// A fresh [`EngineState`] with the start-state obligations open:
-    /// every condition whose `T_start` contains `start` triggers at
-    /// index 0, time 0 (Definition 3.1's start-state trigger).
-    pub fn start(&self, start: &S) -> EngineState {
-        let mut st = EngineState::new(self.conds.len());
-        for (ci, c) in self.conds.iter().enumerate() {
-            if c.in_t_start(start) {
-                st.open_trigger(&self.specs[ci], ci, 0, Rat::ZERO);
-            }
-        }
-        st.events.clear();
-        st
+    /// The tick grid of the set's `u64` plan, when
+    /// [`int_capable`](CompiledConditionSet::int_capable): a
+    /// denominator of 1 means all bounds were integral and conversion
+    /// is a bare cast.
+    pub fn int_scale(&self) -> Option<TimeScale> {
+        self.plan.int.as_ref().map(|p| p.scale)
     }
 
-    /// The backend [`start_engine`](CompiledConditionSet::start_engine)
-    /// selects for this set under [`BackendChoice::Auto`]: the integer
-    /// backend iff the set is
+    /// The domain [`start_engine`](CompiledConditionSet::start_engine)
+    /// starts streams in: [`EngineBackend::Int`] iff the set is
     /// [`int_capable`](CompiledConditionSet::int_capable).
     pub fn backend(&self) -> EngineBackend {
-        if self.int_plan.is_some() {
+        if self.int_capable() {
             EngineBackend::Int
         } else {
             EngineBackend::Exact
         }
     }
 
-    /// [`start`](CompiledConditionSet::start) on the automatically
-    /// selected backend: a fresh [`EngineImpl`] with the start-state
-    /// obligations open.
+    /// A fresh stream state with the start-state obligations open:
+    /// every condition whose `T_start` contains `start` triggers at
+    /// index 0, time 0 (Definition 3.1's start-state trigger).
     pub fn start_engine(&self, start: &S) -> EngineImpl {
-        self.start_engine_with(start, BackendChoice::default())
-    }
-
-    /// [`start_engine`](CompiledConditionSet::start_engine) with an
-    /// explicit [`BackendChoice`] — [`BackendChoice::Exact`] pins the
-    /// stream to exact arithmetic (the differential-oracle path).
-    pub fn start_engine_with(&self, start: &S, choice: BackendChoice) -> EngineImpl {
-        if matches!(choice, BackendChoice::Auto) {
-            if let Some(st) = self.start_int(start) {
-                return EngineImpl::Int(st);
-            }
-        }
-        EngineImpl::Exact(self.start(start))
+        self.plan
+            .start(self.conds.len(), |ci| self.conds[ci].in_t_start(start))
     }
 
     /// Adopts a snapshot (an exact [`EngineState`], from
-    /// [`EngineImpl::snapshot`] or a deserialized stream) onto the
-    /// chosen backend. Under [`BackendChoice::Auto`] the integer
-    /// backend is picked when the set is int-capable **and** every open
-    /// obligation's time converts exactly to its tick domain; anything
-    /// else resumes on exact. Either way the logical state is
-    /// identical — this is what makes snapshots round-trip across
-    /// backends.
-    pub fn adopt_state(&self, st: EngineState, choice: BackendChoice) -> EngineImpl {
-        if matches!(choice, BackendChoice::Auto) {
-            if let Some(plan) = &self.int_plan {
-                if let Some(ist) = IntEngineState::from_exact(plan, &st) {
-                    return EngineImpl::Int(ist);
-                }
-            }
-        }
-        EngineImpl::Exact(st)
+    /// [`EngineImpl::snapshot`] or a deserialized stream): onto ticks
+    /// when the set is int-capable **and** every open obligation's time
+    /// converts exactly to its grid, exact otherwise. Either way the
+    /// logical state is identical — this is what makes snapshots
+    /// round-trip across domains. The predictive state (horizon,
+    /// warning points) is carried verbatim.
+    pub fn adopt_state(&self, st: EngineState) -> EngineImpl {
+        self.plan.adopt(st)
     }
 
     /// [`adopt_state`](CompiledConditionSet::adopt_state) with a warning
@@ -1773,40 +1013,31 @@ impl<S, A> CompiledConditionSet<S, A> {
     /// outcomes natively (`None` detaches prediction). Warning points
     /// for already-open deadlines are reconstructed from the compiled
     /// bounds, and points the stream had already passed stay silent —
-    /// resuming never re-warns. Under [`BackendChoice::Auto`] the
-    /// integer backend additionally requires the horizon and every
-    /// warning point to fit its tick grid; anything else runs exact.
-    pub fn adopt_state_predictive(
-        &self,
-        mut st: EngineState,
-        choice: BackendChoice,
-        horizon: Option<Rat>,
-    ) -> EngineImpl {
-        self.arm_state(&mut st, horizon);
-        self.adopt_state(st, choice)
+    /// resuming never re-warns. Ticks additionally require the horizon
+    /// to fit the grid.
+    pub fn adopt_state_predictive(&self, mut st: EngineState, horizon: Option<Rat>) -> EngineImpl {
+        st.arm(&self.plan.exact, horizon);
+        self.plan.adopt(st)
     }
 
-    /// [`start_engine_with`](CompiledConditionSet::start_engine_with)
-    /// with a warning horizon attached from the first event on.
-    pub fn start_engine_predictive(
-        &self,
-        start: &S,
-        choice: BackendChoice,
-        horizon: Option<Rat>,
-    ) -> EngineImpl {
-        let mut st = self.start(start);
-        self.arm_state(&mut st, horizon);
-        self.adopt_state(st, choice)
+    /// [`start_engine`](CompiledConditionSet::start_engine) with a
+    /// warning horizon attached from the first event on.
+    pub fn start_engine_predictive(&self, start: &S, horizon: Option<Rat>) -> EngineImpl {
+        let st = self.start_engine(start);
+        if horizon.is_none() {
+            return st;
+        }
+        self.adopt_state_predictive(st.into_exact(), horizon)
     }
 
     /// `Ft` read-out: the earliest time at which `action` could next
     /// legally occur, given the open lower windows whose `Π` contains
     /// it — `None` when no open window constrains it. This is the
     /// query form of [`EngineEvent::Forced`]: the dispatch tables key
-    /// the per-action `Π` rows, the active-condition bitmask names the
-    /// candidates, and the answer is the largest `earliest` still ahead
-    /// of the stream clock. (As with Definition 3.1's lower bound, an
-    /// intervening disabling state would lift the constraint early.)
+    /// the per-action `Π` rows, and the answer is the largest `earliest`
+    /// still ahead of the stream clock. (As with Definition 3.1's lower
+    /// bound, an intervening disabling state would lift the constraint
+    /// early.)
     pub fn earliest_legal(&self, st: &EngineImpl, action: &A) -> Option<Rat>
     where
         A: Eq + Hash,
@@ -1831,27 +1062,26 @@ impl<S, A> CompiledConditionSet<S, A> {
                 });
             }
         };
-        match st {
-            EngineImpl::Exact(est) => {
-                for (ci, obs) in est.open.iter().enumerate() {
-                    for o in obs {
-                        if let ObligationKind::Lower { earliest } = o.ob.kind {
-                            fold(ci, earliest);
-                        }
-                    }
-                }
-            }
-            EngineImpl::Int(ist) => ist.for_each_open_lower(&mut fold),
-        }
+        either!(st, s => s.for_each_open_lower(&mut fold));
         latest
     }
 
-    /// [`step_event`](CompiledConditionSet::step_event) lifted over
-    /// [`EngineImpl`]: the backend-routed per-event path used by the
-    /// streaming monitor and the offline folds. On the integer backend
-    /// an event time outside the tick domain spills the state to exact
-    /// (losslessly, before any mutation) and the stream continues
-    /// there with identical semantics.
+    /// Steps one live event — pre-state, action, post-state at
+    /// (nondecreasing) absolute `time` — fusing classification into the
+    /// stepping pass: `Π` and disabling are only evaluated for
+    /// conditions that hold open obligations. Exactly equivalent to
+    /// [`classify`](CompiledConditionSet::classify) followed by
+    /// [`step_classified`](CompiledConditionSet::step_classified) —
+    /// this is the streaming monitor's and the offline folds'
+    /// per-event path. On ticks, an event time outside the grid
+    /// re-instantiates the state in `Rat` (losslessly, before any
+    /// mutation) and the stream continues there with identical
+    /// semantics.
+    ///
+    /// `inline(always)`: per-event consumers (the offline fold, the
+    /// monitor's observe loop) must absorb this body so the loop state
+    /// stays in registers across events; an outlined call here measured
+    /// ~10 ns/event on the E12 pulse stream.
     ///
     /// # Panics
     ///
@@ -1869,27 +1099,51 @@ impl<S, A> CompiledConditionSet<S, A> {
         A: Eq + Hash,
     {
         if self.dispatch.dense {
+            // One interner lookup per event; every per-condition check
+            // is then a table-bit read (or a closure call for the
+            // tracked opaque subset).
             let live = LiveEvent::new(&self.conds, &self.dispatch, pre, action, post);
-            step_specs_impl(&self.specs, self.int_plan.as_ref(), st, &live, time, true)
+            self.plan.step(st, &live, time, true)
         } else {
+            // Nothing in the tables: skip the row lookup and the mask
+            // scans entirely and classify through the predicates.
             let live = DirectEvent {
                 conds: &self.conds,
                 pre,
                 action,
                 post,
             };
-            step_specs_impl(&self.specs, self.int_plan.as_ref(), st, &live, time, false)
+            self.plan.step(st, &live, time, false)
         }
     }
 
-    /// [`finish`](CompiledConditionSet::finish) lifted over
-    /// [`EngineImpl`].
+    /// Steps one event already classified by
+    /// [`classify`](CompiledConditionSet::classify) (the eager path;
+    /// see [`step_engine`](CompiledConditionSet::step_engine)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` decreases below `st`'s last stepped time.
+    pub fn step_classified<'a>(
+        &self,
+        st: &'a mut EngineImpl,
+        cls: &EventClassification,
+        time: Rat,
+    ) -> &'a [EngineEvent] {
+        self.plan.step(st, cls, time, self.dispatch.dense)
+    }
+
+    /// Ends the stream: under [`SatisfactionMode::Complete`]
+    /// (Definition 2.2) every still-open deadline becomes an upper-bound
+    /// violation; under [`SatisfactionMode::Prefix`] (Definition 3.1,
+    /// semi-satisfaction) open deadlines are excused. Open lower windows
+    /// are always discharged — no further event can violate them.
     pub fn finish_engine<'a>(
         &self,
         st: &'a mut EngineImpl,
         mode: SatisfactionMode,
     ) -> &'a [EngineEvent] {
-        finish_specs_impl(&self.specs, st, mode)
+        self.plan.finish(st, mode)
     }
 
     /// Classifies one event — pre-state, action, post-state — against
@@ -1898,7 +1152,7 @@ impl<S, A> CompiledConditionSet<S, A> {
     /// the shared bits. (Disabling uses
     /// [`TimingCondition::in_disabling_event`], so action-based
     /// declarative disabling sets classify identically to
-    /// [`step_event`](CompiledConditionSet::step_event).)
+    /// [`step_engine`](CompiledConditionSet::step_engine).)
     pub fn classify(&self, pre: &S, action: &A, post: &S, out: &mut EventClassification)
     where
         A: PartialEq,
@@ -1931,110 +1185,18 @@ impl<S, A> CompiledConditionSet<S, A> {
             opaque_disabling: ones(&self.dispatch.opaque_disabling),
         }
     }
-
-    /// Steps one classified event at (nondecreasing) absolute `time`
-    /// against the open obligations in `st`, returning the event's log:
-    /// existing obligations are resolved first (in open order, so a
-    /// trigger's bounds constrain strictly later events only), then the
-    /// event's own triggers open new obligations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` decreases below `st`'s last stepped time.
-    pub fn step<'a>(
-        &self,
-        st: &'a mut EngineState,
-        cls: &EventClassification,
-        time: Rat,
-    ) -> &'a [EngineEvent] {
-        step_specs(&self.specs, st, cls, time, self.dispatch.dense)
-    }
-
-    /// [`step`](CompiledConditionSet::step) on a live event, fusing
-    /// classification into the stepping pass: the `Π` and disabling
-    /// predicates are only evaluated for conditions that hold open
-    /// obligations (the trigger predicate always runs). Exactly
-    /// equivalent to [`classify`](CompiledConditionSet::classify)
-    /// followed by [`step`](CompiledConditionSet::step) — this is the
-    /// streaming monitor's per-event path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` decreases below `st`'s last stepped time.
-    ///
-    /// `inline(always)`: per-event consumers (the offline fold, the
-    /// monitor's observe loop) must absorb this body so the sparse
-    /// stepper's loop state stays in registers across events; an
-    /// outlined call here measured ~10 ns/event on the E12 pulse
-    /// stream.
-    #[inline(always)]
-    pub fn step_event<'a>(
-        &self,
-        st: &'a mut EngineState,
-        pre: &S,
-        action: &A,
-        post: &S,
-        time: Rat,
-    ) -> &'a [EngineEvent]
-    where
-        A: Eq + Hash,
-    {
-        if self.dispatch.dense {
-            // One interner lookup per event; every per-condition check
-            // is then a table-bit read (or a closure call for the
-            // tracked opaque subset).
-            let live = LiveEvent::new(&self.conds, &self.dispatch, pre, action, post);
-            step_specs_dense(&self.specs, st, &live, time)
-        } else {
-            // Nothing in the tables: skip the row lookup and the mask
-            // scans entirely and classify through the predicates, like
-            // the pre-dispatch engine did.
-            let live = DirectEvent {
-                conds: &self.conds,
-                pre,
-                action,
-                post,
-            };
-            step_specs_sparse(&self.specs, st, &live, time)
-        }
-    }
-
-    /// Ends the stream: under [`SatisfactionMode::Complete`]
-    /// (Definition 2.2) every still-open deadline becomes an upper-bound
-    /// violation; under [`SatisfactionMode::Prefix`] (Definition 3.1,
-    /// semi-satisfaction) open deadlines are excused. Open lower windows
-    /// are always discharged — no further event can violate them.
-    pub fn finish<'a>(&self, st: &'a mut EngineState, mode: SatisfactionMode) -> &'a [EngineEvent] {
-        finish_specs(&self.specs, st, mode)
-    }
 }
 
 impl<S: Clone + fmt::Debug, A: Clone + fmt::Debug + Eq + Hash> CompiledConditionSet<S, A> {
     /// Folds the engine over a complete recorded sequence and collects
     /// every violation, in event (discovery) order — the shared core of
-    /// [`violations`](crate::violations) and the replay checkers. Runs
-    /// on the automatically selected backend
-    /// ([`BackendChoice::Auto`]); use
-    /// [`fold_sequence_with`](CompiledConditionSet::fold_sequence_with)
-    /// to pin the exact oracle.
+    /// [`violations`](crate::violations) and the replay checkers.
     pub fn fold_sequence(
         &self,
         seq: &TimedSequence<S, A>,
         mode: SatisfactionMode,
     ) -> Vec<Violation> {
-        self.fold_sequence_with(seq, mode, BackendChoice::default())
-    }
-
-    /// [`fold_sequence`](CompiledConditionSet::fold_sequence) with an
-    /// explicit [`BackendChoice`] — the differential property net folds
-    /// once per backend and compares verdicts pointwise.
-    pub fn fold_sequence_with(
-        &self,
-        seq: &TimedSequence<S, A>,
-        mode: SatisfactionMode,
-        choice: BackendChoice,
-    ) -> Vec<Violation> {
-        let mut st = self.start_engine_with(seq.first_state(), choice);
+        let mut st = self.start_engine(seq.first_state());
         // Only violations are consumed here; skip the lifecycle log.
         st.set_log_lifecycle(false);
         let mut out = Vec::new();
@@ -2052,11 +1214,7 @@ impl<S: Clone + fmt::Debug, A: Clone + fmt::Debug + Eq + Hash> CompiledCondition
     /// the log is drained, so each `ViolationKind` payload is moved
     /// rather than cloned.
     fn drain_violations(&self, st: &mut EngineImpl, out: &mut Vec<Violation>) {
-        let events = match st {
-            EngineImpl::Exact(est) => &mut est.events,
-            EngineImpl::Int(ist) => ist.events_mut(),
-        };
-        for ev in events.drain(..) {
+        for ev in st.events_mut().drain(..) {
             if let EngineEvent::Violated { ci, kind } = ev {
                 out.push(Violation {
                     condition: self.name(ci).to_string(),
@@ -2069,15 +1227,14 @@ impl<S: Clone + fmt::Debug, A: Clone + fmt::Debug + Eq + Hash> CompiledCondition
 
 #[cfg(feature = "serde")]
 mod serde_impls {
-    //! Exact snapshot encodings (feature `serde`): an [`Obligation`] as
-    //! the triple `[trigger_index, is_upper, bound]` and an
-    //! [`EngineState`] as `[events_seen, last_time, open]`, with the
-    //! rationals in `tempo-math`'s `"num/den"` string form. The
-    //! transient event-log buffer is not part of the snapshot.
+    //! An [`Obligation`] as the triple `[trigger_index, is_upper,
+    //! bound]` (feature `serde`), the rational in `tempo-math`'s
+    //! `"num/den"` string form — the entries of an
+    //! [`EngineState`](super::EngineState) snapshot.
 
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-    use super::{EngineState, Obligation, ObligationKind};
+    use super::{Obligation, ObligationKind};
     use tempo_math::Rat;
 
     impl Serialize for Obligation {
@@ -2104,52 +1261,6 @@ mod serde_impls {
             })
         }
     }
-
-    impl Serialize for EngineState {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            // Predictive bookkeeping (warning points, warned flags,
-            // horizon) is deliberately *not* part of the snapshot: it
-            // is derived state, reconstructed bit-for-bit by
-            // `CompiledConditionSet::adopt_state_predictive` from the
-            // compiled bounds — so the wire format is unchanged from
-            // pre-predictive snapshots and they resume seamlessly.
-            let open: Vec<Vec<Obligation>> = self
-                .open
-                .iter()
-                .map(|obs| obs.iter().map(|o| o.ob).collect())
-                .collect();
-            (self.events_seen, self.last_time, open).serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for EngineState {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<EngineState, D::Error> {
-            let (events_seen, last_time, open) =
-                <(usize, Rat, Vec<Vec<Obligation>>)>::deserialize(deserializer)?;
-            // The active mask is derived state: rebuild it rather than
-            // widening the snapshot format.
-            let mut active = vec![0u64; open.len().div_ceil(64)];
-            for (ci, obs) in open.iter().enumerate() {
-                if !obs.is_empty() {
-                    active[ci / 64] |= 1u64 << (ci % 64);
-                }
-            }
-            let open = open
-                .into_iter()
-                .map(|obs| obs.into_iter().map(super::OpenOb::plain).collect())
-                .collect();
-            Ok(EngineState {
-                open,
-                active,
-                last_time,
-                events_seen,
-                events: Vec::new(),
-                log_lifecycle: true,
-                horizon: None,
-                warn_watermark: None,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2157,121 +1268,195 @@ mod tests {
     use super::*;
     use tempo_math::Interval;
 
-    fn lower(trigger: usize, earliest: i64) -> Obligation {
-        Obligation {
-            trigger_index: trigger,
-            kind: ObligationKind::Lower {
+    /// Steps one hand-classified event at `t` against a start-state
+    /// trigger of one condition `[lo, hi]`, in both domains, returning
+    /// each domain's log and remaining open count.
+    fn resolve_one(
+        (lo, hi, escape): (i64, Option<i64>, bool),
+        t: i64,
+        pi: bool,
+        disabling: bool,
+    ) -> Vec<(Vec<EngineEvent>, usize)> {
+        let plan = EnginePlan::new([(Rat::from(lo), hi.map(Rat::from), escape)]);
+        let mut cls = EventClassification::new(1);
+        if pi {
+            cls.set_pi(0);
+        }
+        if disabling {
+            cls.set_disabling(0);
+        }
+        domains(plan.start(1, |_| true))
+            .into_iter()
+            .map(|mut st| {
+                let evs = plan.step(&mut st, &cls, Rat::from(t), false).to_vec();
+                (evs, st.open_obligations())
+            })
+            .collect()
+    }
+
+    fn lower_violation(earliest: i64) -> EngineEvent {
+        EngineEvent::Violated {
+            ci: 0,
+            kind: ViolationKind::LowerBound {
+                trigger_index: 0,
+                event_index: 1,
                 earliest: Rat::from(earliest),
             },
         }
     }
 
-    fn upper(trigger: usize, deadline: i64) -> Obligation {
-        Obligation {
-            trigger_index: trigger,
-            kind: ObligationKind::Upper {
-                deadline: Rat::from(deadline),
-            },
+    #[test]
+    fn lower_window_resolution() {
+        let window = (3, None, true);
+        for (evs, open) in resolve_one(window, 1, false, false) {
+            // Early non-Π event keeps it open.
+            assert_eq!((evs.len(), open), (0, 1));
+        }
+        for (evs, _) in resolve_one(window, 1, true, false) {
+            // Early Π-event violates.
+            assert_eq!(evs, [lower_violation(3)]);
+        }
+        for (evs, open) in resolve_one(window, 3, true, false) {
+            // Π exactly at the bound is fine (window closed).
+            assert!(matches!(evs[..], [EngineEvent::Discharged { .. }]) && open == 0);
+        }
+        for (evs, open) in resolve_one(window, 1, false, true) {
+            // A disabling post-state kills the window...
+            assert!(matches!(evs[..], [EngineEvent::Discharged { .. }]) && open == 0);
+        }
+        for (evs, _) in resolve_one(window, 1, true, true) {
+            // ...but not for its own event's Π-check.
+            assert_eq!(evs, [lower_violation(3)]);
         }
     }
 
     #[test]
-    fn remap_carries_preserved_obligations_and_reports_dropped() {
-        let mut st = EngineState::new(3);
-        st.open[0].push(OpenOb::plain(lower(0, 3)));
-        bit_set(&mut st.active, 0);
-        st.open[2].push(OpenOb::plain(upper(1, 9)));
-        bit_set(&mut st.active, 2);
-        st.last_time = Rat::from(2);
-        st.events_seen = 5;
-        // Condition 0 moves to index 1, condition 1 is dropped (it has
-        // nothing open), condition 2 moves to index 0.
-        let (next, dropped) = st.remap(&[Some(1), None, Some(0)], 2);
-        assert_eq!(next.conditions(), 2);
-        assert_eq!(next.open_of(1), &[lower(0, 3)]);
-        assert_eq!(next.open_of(0), &[upper(1, 9)]);
-        assert_eq!(next.last_time(), Rat::from(2));
-        assert_eq!(next.events_seen(), 5);
-        assert!(dropped.is_empty());
-        assert_eq!(next.active[0] & 0b11, 0b11, "bitmask rebuilt in sync");
-
-        let mut st = EngineState::new(2);
-        st.open[1].push(OpenOb::plain(upper(0, 4)));
-        bit_set(&mut st.active, 1);
-        let (next, dropped) = st.remap(&[Some(0), None], 1);
-        assert_eq!(dropped, vec![(1, upper(0, 4))]);
-        assert_eq!(next.open_obligations(), 0);
-        assert_eq!(next.active[0], 0);
-    }
-
-    #[test]
-    fn remap_carries_warning_state_verbatim() {
-        // A predictive stream mid-flight: one deadline already warned,
-        // one not. Remapping (hot reload) must neither re-warn the
-        // first nor lose the second's pending warning point.
-        let mut st = EngineState::new(2);
-        st.horizon = Some(Rat::from(3));
-        st.open[0].push(OpenOb {
-            ob: upper(1, 9),
-            warn_at: Rat::from(6),
-            warned: true,
-        });
-        bit_set(&mut st.active, 0);
-        st.open[1].push(OpenOb {
-            ob: upper(2, 20),
-            warn_at: Rat::from(17),
-            warned: false,
-        });
-        bit_set(&mut st.active, 1);
-        st.last_time = Rat::from(7);
-        let (next, dropped) = st.remap(&[Some(1), Some(0)], 2);
-        assert!(dropped.is_empty());
-        assert_eq!(next.horizon(), Some(Rat::from(3)));
-        assert_eq!(next.warn_watermark, Some(Rat::from(17)));
-        assert!(next.open[1][0].warned);
-        assert!(!next.open[0][0].warned);
-        assert_eq!(next.open[0][0].warn_at, Rat::from(17));
-    }
-
-    #[test]
-    fn lower_window_resolution() {
-        let o = lower(0, 3);
-        // Early non-Π event keeps it open.
-        assert_eq!(o.resolve(Rat::from(1), false, false), Resolution::Open);
-        // Early Π-event violates.
-        assert_eq!(o.resolve(Rat::from(1), true, false), Resolution::Violated);
-        // Π exactly at the bound is fine (window closed).
-        assert_eq!(o.resolve(Rat::from(3), true, false), Resolution::Discharged);
-        // Disabling post-state kills the window...
-        assert_eq!(o.resolve(Rat::from(1), false, true), Resolution::Discharged);
-        // ...but not for its own event's Π-check.
-        assert_eq!(o.resolve(Rat::from(1), true, true), Resolution::Violated);
-    }
-
-    #[test]
     fn upper_deadline_resolution() {
-        let o = upper(2, 5);
-        assert_eq!(o.resolve(Rat::from(4), false, false), Resolution::Open);
-        // Served by Π at the deadline exactly.
-        assert_eq!(o.resolve(Rat::from(5), true, false), Resolution::Discharged);
-        // Served by a disabling state.
-        assert_eq!(o.resolve(Rat::from(4), false, true), Resolution::Discharged);
-        // Past the deadline, even a Π-event is too late.
-        assert_eq!(o.resolve(Rat::from(6), true, false), Resolution::Violated);
+        let deadline = (0, Some(5), true);
+        for (evs, open) in resolve_one(deadline, 4, false, false) {
+            assert_eq!((evs.len(), open), (0, 1));
+        }
+        for (t, pi, dis) in [(5, true, false), (4, false, true)] {
+            // Served by Π at the deadline exactly, or by a disabling
+            // state.
+            for (evs, open) in resolve_one(deadline, t, pi, dis) {
+                assert!(matches!(evs[..], [EngineEvent::Discharged { .. }]) && open == 0);
+            }
+        }
+        for (evs, _) in resolve_one(deadline, 6, true, false) {
+            // Past the deadline, even a Π-event is too late.
+            assert!(matches!(
+                evs[..],
+                [EngineEvent::Violated {
+                    kind: ViolationKind::UpperBound { .. },
+                    ..
+                }]
+            ));
+        }
     }
 
     #[test]
     fn lower_escape_gates_the_disabling_discharge() {
         // Definition 2.1's lower bound has no disabling escape: the
         // window stays open through a disabling state.
-        let o = lower(0, 3);
-        assert_eq!(
-            o.resolve_in(Rat::from(1), false, true, false),
-            Resolution::Open
+        let no_escape = (3, None, false);
+        for (evs, open) in resolve_one(no_escape, 1, false, true) {
+            assert_eq!((evs.len(), open), (0, 1));
+        }
+        for (evs, _) in resolve_one(no_escape, 1, true, true) {
+            assert_eq!(evs, [lower_violation(3)]);
+        }
+    }
+
+    fn go_serve(
+        name: &str,
+        lo: i64,
+        hi: Option<i64>,
+        go: &'static str,
+        serve: &'static str,
+    ) -> TimingCondition<u8, &'static str> {
+        let bounds = match hi {
+            Some(h) => Interval::closed(Rat::from(lo), Rat::from(h)).unwrap(),
+            None => Interval::unbounded_above(Rat::from(lo)),
+        };
+        TimingCondition::new(name, bounds)
+            .triggered_by_actions(ActionSet::only(go))
+            .on_action_set(ActionSet::only(serve))
+    }
+
+    #[test]
+    fn remap_carries_preserved_obligations_and_reports_dropped() {
+        let c0 = go_serve("C0", 10, None, "go", "a").triggered_at_start(|s| *s == 0);
+        let c1 = go_serve("C1", 0, Some(5), "never", "b");
+        let c2 = go_serve("C2", 0, Some(8), "go", "c");
+        let set = CompiledConditionSet::new(&[c0.clone(), c1, c2.clone()]);
+        let mut st = set.start_engine(&0); // C0: window to 10
+        set.step_engine(&mut st, &0, &"idle", &0, Rat::ONE);
+        set.step_engine(&mut st, &0, &"go", &0, Rat::from(2)); // C0 window, C2 deadline 10
+        let snap = st.snapshot();
+        // Condition 0 moves to index 1, condition 1 is dropped (it has
+        // nothing open), condition 2 moves to index 0.
+        let (next, dropped) = snap.remap(&[Some(1), None, Some(0)], 2);
+        assert_eq!(next.conditions(), 2);
+        assert_eq!(next.open_of(1), snap.open_of(0));
+        assert_eq!(next.open_of(0), snap.open_of(2));
+        assert_eq!((next.last_time(), next.events_seen()), (Rat::from(2), 2));
+        assert!(dropped.is_empty());
+        // The active mask is rebuilt in sync: serving the carried
+        // deadline under its new index discharges it.
+        let swapped = CompiledConditionSet::new(&[c2, c0]);
+        let mut resumed = swapped.adopt_state(next);
+        swapped.step_engine(&mut resumed, &0, &"c", &0, Rat::from(3));
+        assert_eq!(resumed.open_of(0), []);
+        assert_eq!(resumed.open_of(1), snap.open_of(0));
+
+        let (next, dropped) = snap.remap(&[Some(0), None, None], 1);
+        assert_eq!(dropped, vec![(2, snap.open_of(2)[0])]);
+        assert_eq!(next.open_obligations(), 2);
+        assert_eq!(next.min_deadline(), None);
+    }
+
+    #[test]
+    fn remap_carries_warning_state_verbatim() {
+        // A predictive stream mid-flight: one deadline already warned,
+        // one not. Remapping (hot reload) must neither re-warn the
+        // first nor recompute the second's pending warning point from
+        // the new bounds.
+        let set = CompiledConditionSet::new(&[
+            go_serve("A", 0, Some(8), "go", "a"),
+            go_serve("B", 0, Some(18), "go2", "b"),
+        ]);
+        let mut st = set.start_engine_predictive(&0, Some(Rat::from(3)));
+        set.step_engine(&mut st, &0, &"go", &0, Rat::ONE); // deadline 9, warn 6
+        set.step_engine(&mut st, &0, &"go2", &0, Rat::from(2)); // deadline 20, warn 17
+        let evs = set.step_engine(&mut st, &0, &"idle", &0, Rat::from(7));
+        assert!(
+            matches!(evs, [EngineEvent::Warned { ci: 0, .. }]),
+            "{evs:?}"
         );
+        let (next, dropped) = st.snapshot().remap(&[Some(1), Some(0)], 2);
+        assert!(dropped.is_empty());
+        assert_eq!(next.horizon(), Some(Rat::from(3)));
+        // Under the new bounds B's warning point would be 20 − 1 = 19.
+        let swapped = CompiledConditionSet::new(&[
+            go_serve("B", 0, Some(1), "go2", "b"),
+            go_serve("A", 0, Some(8), "go", "a"),
+        ]);
+        let mut resumed = swapped.adopt_state(next);
+        resumed.set_log_lifecycle(false);
+        // A was warned before the swap and is served now: no re-warning.
+        assert!(swapped
+            .step_engine(&mut resumed, &0, &"a", &0, Rat::from(8))
+            .is_empty());
+        let evs = swapped.step_engine(&mut resumed, &0, &"idle", &0, Rat::from(18));
         assert_eq!(
-            o.resolve_in(Rat::from(1), true, true, false),
-            Resolution::Violated
+            evs,
+            [EngineEvent::Warned {
+                ci: 0,
+                trigger_index: 2,
+                deadline: Rat::from(20),
+                warn_at: Rat::from(17),
+            }]
         );
     }
 
@@ -2279,6 +1464,14 @@ mod tests {
         TimingCondition::new("C", Interval::closed(Rat::from(lo), Rat::from(hi)).unwrap())
             .triggered_at_start(|s| *s == 0)
             .on_actions(|a| *a == "fire")
+    }
+
+    /// The same stream state in both domains: as started (on ticks, for
+    /// these integral bounds) and re-instantiated in `Rat`.
+    fn domains(st: EngineImpl) -> [EngineImpl; 2] {
+        assert_eq!(st.backend(), EngineBackend::Int);
+        let exact = EngineImpl::Exact(st.snapshot());
+        [st, exact]
     }
 
     #[test]
@@ -2300,12 +1493,28 @@ mod tests {
     #[test]
     fn start_opens_trigger_zero_obligations() {
         let set = CompiledConditionSet::new(&[cond(2, 4)]);
-        let st = set.start(&0);
-        assert_eq!(st.open_obligations(), 2);
-        assert_eq!(st.open_of(0)[0], lower(0, 2));
-        assert_eq!(st.open_of(0)[1], upper(0, 4));
-        // A non-T_start state opens nothing.
-        assert_eq!(set.start(&1).open_obligations(), 0);
+        for st in domains(set.start_engine(&0)) {
+            assert_eq!(st.open_obligations(), 2);
+            assert_eq!(
+                st.open_of(0),
+                [
+                    Obligation {
+                        trigger_index: 0,
+                        kind: ObligationKind::Lower {
+                            earliest: Rat::from(2)
+                        },
+                    },
+                    Obligation {
+                        trigger_index: 0,
+                        kind: ObligationKind::Upper {
+                            deadline: Rat::from(4)
+                        },
+                    },
+                ]
+            );
+            // A non-T_start state opens nothing.
+            assert_eq!(set.start_engine(&1).open_obligations(), 0);
+        }
     }
 
     #[test]
@@ -2317,12 +1526,13 @@ mod tests {
                 .triggered_by_step(|_, a, _| *a == "go")
                 .on_actions(|a| *a == "go");
         let set = CompiledConditionSet::new(&[c]);
-        let mut st = set.start(&0);
-        let mut cls = EventClassification::new(1);
-        set.classify(&0, &"go", &1, &mut cls);
-        let events = set.step(&mut st, &cls, Rat::from(1));
-        assert!(matches!(events, [EngineEvent::Opened { .. }]));
-        assert_eq!(st.open_obligations(), 1);
+        for mut st in domains(set.start_engine(&0)) {
+            let mut cls = EventClassification::new(set.len());
+            set.classify(&0, &"go", &1, &mut cls);
+            let events = set.step_classified(&mut st, &cls, Rat::from(1));
+            assert!(matches!(events, [EngineEvent::Opened { .. }]));
+            assert_eq!(st.open_obligations(), 1);
+        }
     }
 
     #[test]
@@ -2345,31 +1555,32 @@ mod tests {
     #[test]
     fn finish_violates_open_deadlines_only_in_complete_mode() {
         let set = CompiledConditionSet::new(&[cond(0, 4)]);
-        let mut st = set.start(&0);
-        assert!(matches!(
-            set.finish(&mut st, SatisfactionMode::Prefix),
-            [EngineEvent::Discharged { .. }]
-        ));
-        let mut st = set.start(&0);
-        assert!(matches!(
-            set.finish(&mut st, SatisfactionMode::Complete),
-            [EngineEvent::Violated { .. }]
-        ));
+        for st in domains(set.start_engine(&0)) {
+            let mut prefix = st.clone();
+            assert!(matches!(
+                set.finish_engine(&mut prefix, SatisfactionMode::Prefix),
+                [EngineEvent::Discharged { .. }]
+            ));
+            let mut complete = st;
+            assert!(matches!(
+                set.finish_engine(&mut complete, SatisfactionMode::Complete),
+                [EngineEvent::Violated { .. }]
+            ));
+        }
     }
 
     #[test]
     #[should_panic(expected = "nondecreasing")]
     fn decreasing_time_panics() {
         let set = CompiledConditionSet::new(&[cond(0, 4)]);
-        let mut st = set.start(&0);
-        let cls = EventClassification::new(1);
-        set.step(&mut st, &cls, Rat::from(3));
-        set.step(&mut st, &cls, Rat::from(2));
+        let mut st = EngineImpl::Exact(set.start_engine(&0).into_exact());
+        let cls = EventClassification::new(set.len());
+        set.step_classified(&mut st, &cls, Rat::from(3));
+        set.step_classified(&mut st, &cls, Rat::from(2));
     }
 
     #[test]
     fn dispatch_stats_report_interning_and_fallbacks() {
-        use crate::ActionSet;
         let declarative: TimingCondition<u8, &'static str> =
             TimingCondition::new("D", Interval::closed(Rat::ONE, Rat::from(4)).unwrap())
                 .triggered_by_actions(ActionSet::only("go"))
@@ -2390,7 +1601,6 @@ mod tests {
 
     #[test]
     fn declarative_and_opaque_conditions_fold_identically() {
-        use crate::ActionSet;
         // The same condition, built both ways; a trace with a lower-bound
         // violation, a discharge, and an unserved deadline.
         let decl: TimingCondition<u8, &'static str> =
@@ -2418,7 +1628,6 @@ mod tests {
 
     #[test]
     fn complement_sets_cover_uninterned_actions() {
-        use crate::ActionSet;
         // Π = everything except "tick": an action the interner has never
         // seen must dispatch through the default row and still serve the
         // deadline.
@@ -2427,35 +1636,34 @@ mod tests {
                 .triggered_at_start(|s| *s == 0)
                 .on_action_set(ActionSet::all_except(["tick"]));
         let set = CompiledConditionSet::new(std::slice::from_ref(&c));
-        let mut st = set.start(&0);
+        let mut st = set.start_engine(&0);
         assert_eq!(st.open_obligations(), 1);
-        set.step_event(&mut st, &0, &"tick", &1, Rat::from(1));
+        set.step_engine(&mut st, &0, &"tick", &1, Rat::from(1));
         assert_eq!(st.open_obligations(), 1); // excluded action: still open
-        set.step_event(&mut st, &1, &"never-mentioned", &2, Rat::from(2));
+        set.step_engine(&mut st, &1, &"never-mentioned", &2, Rat::from(2));
         assert_eq!(st.open_obligations(), 0); // default row serves it
     }
 
     #[test]
     fn action_based_disabling_dispatches_on_the_event_action() {
-        use crate::ActionSet;
         let c: TimingCondition<u8, &'static str> =
             TimingCondition::new("C", Interval::closed(Rat::ZERO, Rat::from(5)).unwrap())
                 .triggered_by_actions(ActionSet::only("req"))
                 .on_action_set(ActionSet::only("grant"))
                 .disabled_by_actions(ActionSet::only("freeze"));
         let set = CompiledConditionSet::new(std::slice::from_ref(&c));
-        let mut st = set.start(&0);
-        set.step_event(&mut st, &0, &"req", &1, Rat::from(1));
+        let mut st = set.start_engine(&0);
+        set.step_engine(&mut st, &0, &"req", &1, Rat::from(1));
         assert_eq!(st.open_obligations(), 1);
-        set.step_event(&mut st, &1, &"freeze", &2, Rat::from(2));
+        set.step_engine(&mut st, &1, &"freeze", &2, Rat::from(2));
         assert_eq!(st.open_obligations(), 0); // disabling discharges it
-                                              // And the fused path agrees with classify + step.
-        let mut st2 = set.start(&0);
+                                              // And the eager path agrees with the fused one.
+        let mut st2 = set.start_engine(&0);
         let mut cls = EventClassification::new(set.len());
         set.classify(&0, &"req", &1, &mut cls);
-        set.step(&mut st2, &cls, Rat::from(1));
+        set.step_classified(&mut st2, &cls, Rat::from(1));
         set.classify(&1, &"freeze", &2, &mut cls);
-        set.step(&mut st2, &cls, Rat::from(2));
+        set.step_classified(&mut st2, &cls, Rat::from(2));
         assert_eq!(st2.open_obligations(), 0);
     }
 
@@ -2466,7 +1674,6 @@ mod tests {
         // mask in sync as obligations discharge.
         let conds: Vec<TimingCondition<u8, &'static str>> = (0..70)
             .map(|i| {
-                use crate::ActionSet;
                 TimingCondition::new(
                     format!("C{i}"),
                     Interval::closed(Rat::ZERO, Rat::from(5)).unwrap(),
@@ -2476,15 +1683,16 @@ mod tests {
             })
             .collect();
         let set = CompiledConditionSet::new(&conds);
-        let mut st = set.start(&0);
-        set.step_event(&mut st, &0, &"go", &1, Rat::from(1));
-        assert_eq!(st.open_obligations(), 1);
-        assert_eq!(st.open_of(69).len(), 1);
-        set.step_event(&mut st, &1, &"done", &2, Rat::from(2));
-        assert_eq!(st.open_obligations(), 0);
-        // Re-arming after a full discharge works (mask bit set again).
-        set.step_event(&mut st, &2, &"go", &3, Rat::from(3));
-        assert_eq!(st.open_of(69).len(), 1);
+        for mut st in domains(set.start_engine(&0)) {
+            set.step_engine(&mut st, &0, &"go", &1, Rat::from(1));
+            assert_eq!(st.open_obligations(), 1);
+            assert_eq!(st.open_of(69).len(), 1);
+            set.step_engine(&mut st, &1, &"done", &2, Rat::from(2));
+            assert_eq!(st.open_obligations(), 0);
+            // Re-arming after a full discharge works (mask bit set again).
+            set.step_engine(&mut st, &2, &"go", &3, Rat::from(3));
+            assert_eq!(st.open_of(69).len(), 1);
+        }
     }
 
     #[test]
@@ -2500,26 +1708,23 @@ mod tests {
     }
 
     fn req_grant(lo: i64, hi: i64) -> TimingCondition<u8, &'static str> {
-        use crate::ActionSet;
         TimingCondition::new("C", Interval::closed(Rat::from(lo), Rat::from(hi)).unwrap())
             .triggered_by_actions(ActionSet::only("req"))
             .on_action_set(ActionSet::only("grant"))
     }
 
-    fn predictive_start(
-        set: &CompiledConditionSet<u8, &'static str>,
-        h: i64,
-        choice: BackendChoice,
-    ) -> EngineImpl {
-        set.start_engine_predictive(&0, choice, Some(Rat::from(h)))
+    /// A predictive stream with horizon `h`, in both domains.
+    fn predictive_start(set: &CompiledConditionSet<u8, &'static str>, h: i64) -> [EngineImpl; 2] {
+        let mut st = set.start_engine_predictive(&0, Some(Rat::from(h)));
+        st.set_log_lifecycle(false);
+        domains(st)
     }
 
     #[test]
     fn warning_emitted_once_strictly_past_the_warn_point() {
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
-            let mut st = predictive_start(&set, 3, choice);
-            st.set_log_lifecycle(false);
+        let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
             set.step_engine(&mut st, &0, &"req", &1, Rat::from(2)); // deadline 12, warn 9
             assert!(set
                 .step_engine(&mut st, &0, &"idle", &1, Rat::from(9))
@@ -2533,7 +1738,8 @@ mod tests {
                     deadline: Rat::from(12),
                     warn_at: Rat::from(9),
                 }],
-                "backend {choice:?}"
+                "backend {:?}",
+                domain
             );
             // Once only.
             assert!(set
@@ -2544,10 +1750,9 @@ mod tests {
 
     #[test]
     fn warning_precedes_violation_on_a_time_jump() {
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
-            let mut st = predictive_start(&set, 3, choice);
-            st.set_log_lifecycle(false);
+        let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
             set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
             let evs = set.step_engine(&mut st, &0, &"idle", &1, Rat::from(50));
             assert!(
@@ -2555,17 +1760,17 @@ mod tests {
                     evs,
                     [EngineEvent::Warned { .. }, EngineEvent::Violated { .. }]
                 ),
-                "backend {choice:?}: {evs:?}"
+                "backend {:?}: {evs:?}",
+                domain
             );
         }
     }
 
     #[test]
     fn forced_window_reported_once_at_open_when_margin_covers_horizon() {
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let set = CompiledConditionSet::new(&[req_grant(5, 20)]);
-            let mut st = predictive_start(&set, 3, choice);
-            st.set_log_lifecycle(false);
+        let set = CompiledConditionSet::new(&[req_grant(5, 20)]);
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
             let evs = set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
             assert_eq!(
                 evs,
@@ -2576,14 +1781,11 @@ mod tests {
                     t_i: Rat::from(2),
                     margin: Rat::from(5),
                 }],
-                "backend {choice:?}"
+                "backend {:?}",
+                domain
             );
             // The Ft query agrees while the window is ahead...
-            assert_eq!(
-                set.earliest_legal(&st, &"grant"),
-                Some(Rat::from(7)),
-                "backend {choice:?}"
-            );
+            assert_eq!(set.earliest_legal(&st, &"grant"), Some(Rat::from(7)));
             assert_eq!(set.earliest_legal(&st, &"req"), None);
             // ...and clears once the stream clock passes it.
             set.step_engine(&mut st, &0, &"idle", &1, Rat::from(7));
@@ -2595,58 +1797,55 @@ mod tests {
     fn short_margins_and_zero_horizon_report_no_forced_window() {
         for (lo, h) in [(2i64, 3i64), (5, 0)] {
             let set = CompiledConditionSet::new(&[req_grant(lo, 20)]);
-            let mut st = set.start_engine_predictive(&0, BackendChoice::Auto, Some(Rat::from(h)));
-            st.set_log_lifecycle(false);
-            let evs = set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
-            assert!(
-                !evs.iter().any(|e| matches!(e, EngineEvent::Forced { .. })),
-                "lo={lo} h={h}: {evs:?}"
-            );
+            for mut st in predictive_start(&set, h) {
+                let evs = set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
+                assert!(
+                    !evs.iter().any(|e| matches!(e, EngineEvent::Forced { .. })),
+                    "lo={lo} h={h}: {evs:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn adopting_a_snapshot_rearms_without_rewarning() {
         let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
-        let mut st = predictive_start(&set, 3, BackendChoice::Exact);
-        st.set_log_lifecycle(false);
-        set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
-        set.step_engine(&mut st, &0, &"idle", &1, Rat::from(10)); // warned
-        let snap = st.snapshot();
-        // Re-adopt on each backend: the warned flag must be
-        // reconstructed from `last_time`, so no second warning fires.
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let mut resumed = set.adopt_state_predictive(snap.clone(), choice, Some(Rat::from(3)));
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
+            set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
+            // Snapshot with the warning still pending: it survives the
+            // round trip, and the adopted stream is back on ticks.
+            let mut resumed = set.adopt_state_predictive(st.snapshot(), Some(Rat::from(3)));
+            assert_eq!(resumed.backend(), EngineBackend::Int);
             resumed.set_log_lifecycle(false);
-            let evs = set.step_engine(&mut resumed, &0, &"idle", &1, Rat::from(11));
-            assert!(evs.is_empty(), "backend {choice:?}: {evs:?}");
+            let evs = set.step_engine(&mut resumed, &0, &"idle", &1, Rat::from(10));
+            assert!(
+                matches!(evs, [EngineEvent::Warned { .. }]),
+                "pending warning lost: {evs:?}"
+            );
+            // Snapshot after the warning: re-adopting in either domain
+            // reconstructs the warned flag from `last_time`, so no
+            // second warning fires.
+            set.step_engine(&mut st, &0, &"idle", &1, Rat::from(10));
+            for mut resumed in
+                domains(set.adopt_state_predictive(st.snapshot(), Some(Rat::from(3))))
+            {
+                resumed.set_log_lifecycle(false);
+                let evs = set.step_engine(&mut resumed, &0, &"idle", &1, Rat::from(11));
+                assert!(evs.is_empty(), "{domain:?}: {evs:?}");
+            }
         }
-        // But a *pending* warning survives the round trip.
-        let set2 = CompiledConditionSet::new(&[req_grant(0, 10)]);
-        let mut st2 = predictive_start(&set2, 3, BackendChoice::Exact);
-        st2.set_log_lifecycle(false);
-        set2.step_engine(&mut st2, &0, &"req", &1, Rat::from(2));
-        let snap2 = st2.snapshot();
-        let mut resumed =
-            set2.adopt_state_predictive(snap2, BackendChoice::Auto, Some(Rat::from(3)));
-        resumed.set_log_lifecycle(false);
-        let evs = set2.step_engine(&mut resumed, &0, &"idle", &1, Rat::from(10));
-        assert!(
-            matches!(evs, [EngineEvent::Warned { .. }]),
-            "pending warning lost: {evs:?}"
-        );
     }
 
     #[test]
     fn min_deadline_tracks_the_tightest_open_deadline() {
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
-            let mut st = predictive_start(&set, 3, choice);
-            st.set_log_lifecycle(false);
+        let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
             assert_eq!(st.min_deadline(), None);
             set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
             set.step_engine(&mut st, &0, &"req", &1, Rat::from(5));
-            assert_eq!(st.min_deadline(), Some(Rat::from(12)), "backend {choice:?}");
+            assert_eq!(st.min_deadline(), Some(Rat::from(12)), "{domain:?}");
             set.step_engine(&mut st, &0, &"grant", &1, Rat::from(6));
             assert_eq!(st.min_deadline(), None, "grant serves both deadlines");
         }
@@ -2654,10 +1853,9 @@ mod tests {
 
     #[test]
     fn finish_complete_files_the_owed_warning_before_the_violation() {
-        for choice in [BackendChoice::Auto, BackendChoice::Exact] {
-            let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
-            let mut st = predictive_start(&set, 3, choice);
-            st.set_log_lifecycle(false);
+        let set = CompiledConditionSet::new(&[req_grant(0, 10)]);
+        for mut st in predictive_start(&set, 3) {
+            let domain = st.backend();
             set.step_engine(&mut st, &0, &"req", &1, Rat::from(2));
             let evs = set.finish_engine(&mut st, SatisfactionMode::Complete);
             assert!(
@@ -2665,8 +1863,22 @@ mod tests {
                     evs,
                     [EngineEvent::Warned { .. }, EngineEvent::Violated { .. }]
                 ),
-                "backend {choice:?}: {evs:?}"
+                "backend {:?}: {evs:?}",
+                domain
             );
         }
+    }
+
+    #[test]
+    fn off_grid_time_spills_before_the_step() {
+        let set = CompiledConditionSet::new(&[req_grant(1, 5)]);
+        let mut st = set.start_engine(&0);
+        set.step_engine(&mut st, &0, &"req", &1, Rat::from(1));
+        assert_eq!(st.backend(), EngineBackend::Int);
+        let before = st.snapshot();
+        let evs = set.step_engine(&mut st, &1, &"grant", &2, Rat::new(5, 3));
+        assert!(matches!(evs, [EngineEvent::Violated { .. }, ..]), "{evs:?}");
+        assert_eq!(st.backend(), EngineBackend::Exact);
+        assert_eq!(before.events_seen() + 1, st.events_seen());
     }
 }

@@ -1,178 +1,296 @@
-//! The monomorphized integer-time engine backend: Definition 3.1's
-//! obligation stepper over `u64` ticks, with the open-obligation table
-//! laid out struct-of-arrays.
+//! The obligation stepper: Definition 3.1's per-trigger semantics over a
+//! struct-of-arrays obligation store, generic over its [`TimeDomain`].
 //!
-//! The exact engine ([`super`]) pays `Rat` arithmetic — `i128`
-//! normalization, gcd fast paths notwithstanding — on every bound
-//! check, even though every shipped system's bounds are integral and
-//! Definition 3.1 only ever *compares* times. When
-//! [`CompiledConditionSet`](super::CompiledConditionSet) detects at
-//! build time that all bounds fit a common `u64` tick domain (an
-//! [`IntPlan`]), the engine runs here instead:
+//! There is one stepper and two instantiations of it:
 //!
-//! * **Integer time.** Bounds and event times are scaled by the LCM of
-//!   the bound denominators ([`tempo_math::TimeScale`]) into `u64`
-//!   ticks; deadline arithmetic is a machine add, comparison a machine
-//!   compare, and conversion back to exact [`Rat`]s happens only on the
-//!   cold reporting paths (violations, lifecycle logs, snapshots).
-//! * **Struct-of-arrays obligations.** Open deadlines live in one flat
-//!   `u64` array with condition ids and trigger indices in parallel
-//!   arrays (windows likewise), so the resolve scan is a tight loop
-//!   over contiguous words with no per-obligation pointer chasing — and
-//!   cached `min deadline` / `min earliest` watermarks let a quiescent
-//!   event skip the scan entirely: an event that serves nothing and
-//!   passes no watermark costs `O(active conditions / 64)` regardless
-//!   of how many obligations are open.
-//! * **Exact or refused.** Scaling is never approximate: an event time
-//!   the scale cannot represent (or that would push a deadline past
-//!   `u64::MAX`) makes the engine **spill** — the state converts
-//!   losslessly to the exact backend ([`IntEngineState::to_exact`]) and
-//!   the stream continues on `Rat`s with identical verdicts.
+//! * **`u64` ticks** ([`IntEngineState`]). When every bound of a
+//!   condition set fits a common tick grid ([`tempo_math::TimeScale`],
+//!   the LCM of the bound denominators), bounds and event times become
+//!   `u64` tick counts: deadline arithmetic is a machine add, a
+//!   comparison a machine compare, and "no watermark" is the sentinel
+//!   `u64::MAX`.
+//! * **`Rat`** ([`EngineState`]). Anything else — bounds off every
+//!   `u64` grid, or a stream whose event times leave its grid — runs on
+//!   exact rationals, with "no watermark" an explicit `None`.
 //!
-//! Semantics are pinned to the exact engine by the differential
-//! property net (`tests/prop_int_engine.rs`): pointwise-equal verdicts
-//! on arbitrary integral-bound condition sets, with the exact engine as
-//! the oracle.
+//! Open deadlines live in one flat array with condition ids and trigger
+//! indices in parallel arrays (windows likewise), and cached
+//! `min deadline` / `min earliest` / warning watermarks let a quiescent
+//! event skip the scans entirely: an event that serves nothing and
+//! passes no watermark costs `O(active conditions / 64)` regardless of
+//! how many obligations are open — in either domain.
+//!
+//! A stream's domain follows from its bounds and event times alone:
+//! compiled sets start on ticks when they can, and an event time the
+//! grid cannot represent exactly (or one that would push a deadline past
+//! `u64::MAX`) **re-instantiates** the stream in `Rat` before the step —
+//! the same arrays mapped through [`TimeScale::from_ticks`], so the
+//! state, and every later verdict, is unchanged ([`SoaState::rescale`]).
+//! Snapshots take the same road into `Rat`, and resuming takes it back
+//! onto ticks when every time converts.
+//!
+//! The stepper is checked against an independent, deliberately naive
+//! evaluation of the definitions (`tests/support/reference.rs`) on both
+//! instantiations.
+
+use std::fmt;
 
 use tempo_math::{Rat, TimeScale};
 
-use super::{
-    bit_clear, bit_set, Classify, CompiledConditionSet, CondSpec, EngineEvent, EngineState,
-    Obligation, ObligationKind, OpenOb,
-};
+use super::{bit_clear, bit_set, Classify, EngineEvent, Obligation, ObligationKind};
 use crate::satisfaction::{SatisfactionMode, ViolationKind};
 
-/// Sentinel in [`IntPlan::upper`] for an infinite upper bound (no
-/// deadline obligation ever opens). A real scaled bound of `u64::MAX`
-/// is refused at plan time, so the sentinel is unambiguous.
-pub(crate) const NO_DEADLINE: u64 = u64::MAX;
-
-/// Sentinel in [`IntEngineState::up_warn`] for an entry whose warning
-/// has already been emitted — or never applies (prediction off). Real
-/// warn ticks are capped just below it, so the sentinel is unambiguous.
-const WARNED: u64 = u64::MAX;
-
-/// The compiled integer-time lowering of a condition set's bound table:
-/// the shared [`TimeScale`] plus each condition's bounds as tick
-/// counts. Built once per [`CompiledConditionSet`] (or per offline
-/// spec table) when — and only when — every bound converts exactly.
-#[derive(Clone, Debug)]
-pub(crate) struct IntPlan {
-    /// The tick scale every time in this plan is expressed in.
-    pub(crate) scale: TimeScale,
-    /// Per-condition `b_l` in ticks (0 = no window obligation opens).
-    pub(crate) lower: Vec<u64>,
-    /// Per-condition finite `b_u` in ticks ([`NO_DEADLINE`] = ∞).
-    pub(crate) upper: Vec<u64>,
-    /// Per-condition `lower_escape` bits (word-packed): whether a
-    /// disabling state discharges an open window (Definition 2.2/3.1:
-    /// yes; Definition 2.1: no).
-    pub(crate) escape: Vec<u64>,
-    /// The largest finite bound in ticks — the overflow headroom the
-    /// per-event spill check needs: while `ticks ≤ u64::MAX −
-    /// max_bound`, every deadline this event can open fits.
-    pub(crate) max_bound: u64,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u64 {}
+    impl Sealed for tempo_math::Rat {}
 }
 
-impl IntPlan {
-    /// Lowers a bound table into the integer domain, or `None` when any
-    /// bound refuses exact conversion (non-`u64` denominator LCM,
-    /// negative or oversized scaled value) — the engine then stays on
-    /// exact arithmetic.
-    pub(crate) fn from_specs(specs: &[CondSpec]) -> Option<IntPlan> {
-        let scale = TimeScale::for_denominators(
-            specs
-                .iter()
-                .flat_map(|s| [Some(s.lower), s.upper].into_iter().flatten())
-                .map(Rat::denom),
-        )?;
-        let mut plan = IntPlan {
-            scale,
-            lower: Vec::with_capacity(specs.len()),
-            upper: Vec::with_capacity(specs.len()),
-            escape: vec![0; specs.len().div_ceil(64).max(1)],
-            max_bound: 0,
+/// A time domain the obligation stepper runs in: `u64` ticks on a
+/// [`TimeScale`] grid, or exact [`Rat`]s. Sealed — the two
+/// instantiations are the whole design.
+pub trait TimeDomain: Copy + Ord + fmt::Debug + sealed::Sealed {
+    /// What maps a value back to the exact domain: the tick grid for
+    /// `u64`, nothing for `Rat`.
+    type Scale: Copy + fmt::Debug;
+    /// An optional time — a watermark, a pending warning point, an
+    /// infinite upper bound. `u64` uses the sentinel `u64::MAX` (real
+    /// tick values stay strictly below it); `Rat` uses `Option`, since
+    /// ordering a huge rational sentinel would cross-multiply and
+    /// overflow.
+    type Mark: Copy + fmt::Debug;
+    /// Time zero.
+    const ZERO: Self;
+    /// The absent mark.
+    const NONE: Self::Mark;
+    /// `self` as a present mark.
+    fn mark(self) -> Self::Mark;
+    /// The time a mark holds, if any.
+    fn unmark(m: Self::Mark) -> Option<Self>;
+    /// Whether `self` lies strictly past the mark (`false` for none).
+    fn past(self, m: Self::Mark) -> bool;
+    /// Whether `self` has reached the mark (`false` for none).
+    fn reached(self, m: Self::Mark) -> bool;
+    /// The smaller of a mark and a time.
+    fn min_mark(m: Self::Mark, t: Self) -> Self::Mark;
+    /// `self + d`.
+    fn add(self, d: Self) -> Self;
+    /// `self − d`, for `d ≤ self`.
+    fn sub(self, d: Self) -> Self;
+    /// The exact rational this value stands for.
+    fn to_rat(self, scale: Self::Scale) -> Rat;
+    /// The value standing for `r` exactly, or `None` when `r` has no
+    /// exact representation here.
+    fn from_rat(r: Rat, scale: Self::Scale) -> Option<Self>;
+}
+
+impl TimeDomain for u64 {
+    type Scale = TimeScale;
+    type Mark = u64;
+    const ZERO: u64 = 0;
+    const NONE: u64 = u64::MAX;
+    #[inline]
+    fn mark(self) -> u64 {
+        self
+    }
+    #[inline]
+    fn unmark(m: u64) -> Option<u64> {
+        (m != u64::MAX).then_some(m)
+    }
+    #[inline]
+    fn past(self, m: u64) -> bool {
+        self > m
+    }
+    #[inline]
+    fn reached(self, m: u64) -> bool {
+        self >= m
+    }
+    #[inline]
+    fn min_mark(m: u64, t: u64) -> u64 {
+        m.min(t)
+    }
+    #[inline]
+    fn add(self, d: u64) -> u64 {
+        self + d
+    }
+    #[inline]
+    fn sub(self, d: u64) -> u64 {
+        self - d
+    }
+    #[inline]
+    fn to_rat(self, scale: TimeScale) -> Rat {
+        scale.from_ticks(self)
+    }
+    #[inline]
+    fn from_rat(r: Rat, scale: TimeScale) -> Option<u64> {
+        // `u64::MAX` is the absent mark, never a time.
+        scale.to_ticks(r).filter(|&t| t != u64::MAX)
+    }
+}
+
+impl TimeDomain for Rat {
+    type Scale = ();
+    type Mark = Option<Rat>;
+    const ZERO: Rat = Rat::ZERO;
+    const NONE: Option<Rat> = None;
+    #[inline]
+    fn mark(self) -> Option<Rat> {
+        Some(self)
+    }
+    #[inline]
+    fn unmark(m: Option<Rat>) -> Option<Rat> {
+        m
+    }
+    #[inline]
+    fn past(self, m: Option<Rat>) -> bool {
+        matches!(m, Some(w) if self > w)
+    }
+    #[inline]
+    fn reached(self, m: Option<Rat>) -> bool {
+        matches!(m, Some(w) if self >= w)
+    }
+    #[inline]
+    fn min_mark(m: Option<Rat>, t: Rat) -> Option<Rat> {
+        Some(match m {
+            Some(w) if w <= t => w,
+            _ => t,
+        })
+    }
+    #[inline]
+    fn add(self, d: Rat) -> Rat {
+        self + d
+    }
+    #[inline]
+    fn sub(self, d: Rat) -> Rat {
+        self - d
+    }
+    #[inline]
+    fn to_rat(self, _: ()) -> Rat {
+        self
+    }
+    #[inline]
+    fn from_rat(r: Rat, _: ()) -> Option<Rat> {
+        Some(r)
+    }
+}
+
+/// A condition set's bound table in one time domain: each condition's
+/// `b_l`, finite `b_u`, and whether a disabling state discharges its
+/// open window.
+#[derive(Clone, Debug)]
+pub(crate) struct Plan<T: TimeDomain> {
+    /// The scale every value in this plan is expressed in.
+    pub(crate) scale: T::Scale,
+    /// Per-condition `b_l` (zero: no window obligation opens).
+    lower: Vec<T>,
+    /// Per-condition finite `b_u` (absent: `∞`, no deadline opens).
+    upper: Vec<T::Mark>,
+    /// Per-condition escape bits (word-packed): whether a disabling
+    /// state discharges an open window (Definitions 2.2/3.1: yes;
+    /// Definition 2.1: no).
+    escape: Vec<u64>,
+    /// The largest finite bound: while an event time leaves this much
+    /// headroom below `u64::MAX`, no deadline it opens can overflow.
+    pub(crate) max_bound: T,
+}
+
+impl Plan<Rat> {
+    /// The exact plan for `(b_l, finite b_u, lower escape)` triples.
+    pub(crate) fn new(bounds: impl IntoIterator<Item = (Rat, Option<Rat>, bool)>) -> Plan<Rat> {
+        let mut plan = Plan {
+            scale: (),
+            lower: Vec::new(),
+            upper: Vec::new(),
+            escape: Vec::new(),
+            max_bound: Rat::ZERO,
         };
-        for (ci, s) in specs.iter().enumerate() {
-            let lo = scale.to_ticks(s.lower)?;
-            let up = match s.upper {
-                Some(u) => {
-                    let t = scale.to_ticks(u)?;
-                    // A scaled bound of u64::MAX would collide with the
-                    // ∞ sentinel; refuse (and force the exact engine).
-                    if t == NO_DEADLINE {
-                        return None;
-                    }
-                    t
-                }
-                None => NO_DEADLINE,
-            };
+        for (ci, (lo, up, escape)) in bounds.into_iter().enumerate() {
             plan.lower.push(lo);
             plan.upper.push(up);
-            if s.lower_escape {
+            if ci % 64 == 0 {
+                plan.escape.push(0);
+            }
+            if escape {
                 bit_set(&mut plan.escape, ci);
             }
-            plan.max_bound = plan.max_bound.max(lo);
-            if up != NO_DEADLINE {
-                plan.max_bound = plan.max_bound.max(up);
-            }
+            plan.max_bound = plan.max_bound.max(lo).max(up.unwrap_or(Rat::ZERO));
         }
-        Some(plan)
+        plan
     }
 
-    /// Whether an event at `ticks` can be stepped without any deadline
-    /// arithmetic overflowing. Past this point the engine spills to
-    /// exact *before* mutating any state, so a step is never partial.
-    #[inline]
-    pub(crate) fn safe_ticks(&self, ticks: u64) -> bool {
-        ticks <= u64::MAX - self.max_bound
+    /// Lowers the plan onto the coarsest `u64` tick grid holding every
+    /// bound exactly, or `None` when there is none (denominator LCM
+    /// overflow, or a scaled bound past the tick range).
+    pub(crate) fn to_ticks(&self) -> Option<Plan<u64>> {
+        let dens = self
+            .lower
+            .iter()
+            .chain(self.upper.iter().flatten())
+            .map(|r| r.denom());
+        self.rescale(TimeScale::for_denominators(dens)?)
+    }
+
+    /// The finite `b_u` of condition `ci`.
+    pub(crate) fn upper(&self, ci: usize) -> Option<Rat> {
+        self.upper[ci]
     }
 }
 
-/// The integer backend's whole mutable state: the open obligations as
-/// parallel flat arrays (deadlines / condition ids / trigger indices,
-/// and likewise for lower windows) plus the stream position in ticks.
-///
-/// This is the struct-of-arrays twin of the exact
-/// [`EngineState`](super::EngineState): same logical content, no
-/// per-condition `Vec<Obligation>` boxes. Snapshots always go through
-/// the exact form (the tick-to-`Rat` conversion is lossless), so
-/// serialization and hot-reload remapping are backend-agnostic.
+impl<T: TimeDomain> Plan<T> {
+    /// The same plan in domain `U` at `scale`, or `None` when some
+    /// bound has no exact representation there.
+    fn rescale<U: TimeDomain>(&self, scale: U::Scale) -> Option<Plan<U>> {
+        let conv = |v: T| U::from_rat(v.to_rat(self.scale), scale);
+        Some(Plan {
+            scale,
+            lower: self.lower.iter().map(|&v| conv(v)).collect::<Option<_>>()?,
+            upper: self
+                .upper
+                .iter()
+                .map(|&m| T::unmark(m).map_or(Some(U::NONE), |v| conv(v).map(U::mark)))
+                .collect::<Option<_>>()?,
+            escape: self.escape.clone(),
+            max_bound: conv(self.max_bound)?,
+        })
+    }
+}
+
+/// The stepper's whole mutable state in domain `T`: the open
+/// obligations as parallel flat arrays (deadlines / condition ids /
+/// trigger indices / warning points, and likewise for lower windows)
+/// plus the stream position. [`EngineState`] and [`IntEngineState`]
+/// are its two instantiations.
 #[derive(Clone, Debug)]
-pub struct IntEngineState {
-    /// The scale its tick values are expressed in.
-    scale: TimeScale,
+pub struct SoaState<T: TimeDomain> {
+    /// The scale its values are expressed in.
+    scale: T::Scale,
     // Open upper (deadline) obligations, struct-of-arrays.
-    up_deadline: Vec<u64>,
+    up_deadline: Vec<T>,
     up_ci: Vec<u32>,
     up_trigger: Vec<u64>,
-    /// Per-deadline warning tick (parallel to `up_deadline`):
-    /// `max(deadline − horizon, t_i)` in ticks, or [`WARNED`] once the
-    /// warning fired (or when prediction is off — entries are then born
-    /// warned, so the sweep never inspects them).
-    up_warn: Vec<u64>,
+    /// Per-deadline warning point `max(deadline − horizon, t_i)`, or
+    /// absent once the warning fired (or when prediction is off —
+    /// entries are then born absent, so the sweep never inspects them).
+    up_warn: Vec<T::Mark>,
     // Open lower (window) obligations, struct-of-arrays.
-    lo_earliest: Vec<u64>,
+    lo_earliest: Vec<T>,
     lo_ci: Vec<u32>,
     lo_trigger: Vec<u64>,
-    /// Smallest open deadline (`u64::MAX` when none): an event at
-    /// `ticks ≤ min_deadline` that serves nothing skips the upper scan.
-    min_deadline: u64,
-    /// Smallest open window end (`u64::MAX` when none), gating the
-    /// lower scan the same way.
-    min_earliest: u64,
-    /// Smallest pending (unwarned) warning tick (`u64::MAX` when none):
-    /// the generalization of `min_deadline` that keeps prediction off
-    /// the quiescent-event fast path — an event at `ticks ≤
-    /// warn_watermark` skips the warning sweep with one compare.
-    warn_watermark: u64,
-    /// The prediction horizon in ticks (0 when prediction is off).
-    h_ticks: u64,
-    /// Whether prediction is armed: new deadlines get real warn ticks
-    /// and qualifying lower windows emit [`EngineEvent::Forced`].
-    predict: bool,
-    /// The exact-domain horizon, kept for lossless spill to the exact
-    /// backend (`h_ticks` alone would lose an off-unit-scale value).
+    /// Smallest open deadline: exact at all times (every open folds it,
+    /// every scan that removes a deadline recomputes it). An event at or
+    /// before it that serves nothing skips the upper scan.
+    min_deadline: T::Mark,
+    /// Smallest open window end, gating the lower scan the same way.
+    min_earliest: T::Mark,
+    /// Smallest pending warning point: an event not past it skips the
+    /// warning sweep with one compare. May be stale *low* after an
+    /// unwarned deadline is discharged (the sweep recomputes it), never
+    /// stale high.
+    warn_watermark: T::Mark,
+    /// The prediction horizon in this domain (zero when off).
+    h: T,
+    /// The exact horizon: `Some` arms prediction — new deadlines get
+    /// warning points, qualifying windows emit [`EngineEvent::Forced`].
     horizon: Option<Rat>,
     /// Bitmask of conditions with ≥ 1 open obligation (either kind).
     active: Vec<u64>,
@@ -184,20 +302,57 @@ pub struct IntEngineState {
     /// resolve scans.
     pi_mask: Vec<u64>,
     dis_mask: Vec<u64>,
-    last_ticks: u64,
+    /// Time of the last stepped event (initially zero).
+    last: T,
     events_seen: usize,
-    /// Reusable event-log buffer (exact-domain events: ticks convert to
-    /// `Rat` only here, on the cold emission path).
+    /// Reusable event-log buffer (not part of the logical state; values
+    /// convert to `Rat` only here, on the cold emission path).
     events: Vec<EngineEvent>,
+    /// Whether [`EngineEvent::Opened`]/[`EngineEvent::Discharged`] are
+    /// logged (violations always are). Consumers with no lifecycle
+    /// listener turn it off to keep log traffic off the hot path.
     log_lifecycle: bool,
 }
 
-impl IntEngineState {
-    /// Empty state for `conditions` conditions at `scale`, no
+/// The exact (`Rat`) instantiation of the stepper state — the
+/// snapshot form: serializable (feature `serde`), remappable across
+/// spec revisions, and resumable onto either domain.
+pub type EngineState = SoaState<Rat>;
+
+/// The `u64`-tick instantiation of the stepper state.
+pub type IntEngineState = SoaState<u64>;
+
+impl Default for EngineState {
+    /// An empty state tracking no conditions, lifecycle logging on.
+    fn default() -> EngineState {
+        EngineState::new(0)
+    }
+}
+
+impl EngineState {
+    /// Empty exact state for `conditions` conditions, with no
     /// obligations open.
-    pub(crate) fn new(conditions: usize, scale: TimeScale) -> IntEngineState {
-        let words = conditions.div_ceil(64).max(1);
-        IntEngineState {
+    pub fn new(conditions: usize) -> EngineState {
+        SoaState::empty(conditions, ())
+    }
+}
+
+/// One open obligation, read out of the store: the canonical order
+/// `(condition, trigger, window before deadline)` is the derived order.
+#[derive(Clone, Copy, Debug)]
+struct Row<T: TimeDomain> {
+    ci: usize,
+    trigger: usize,
+    upper: bool,
+    at: T,
+    warn: T::Mark,
+}
+
+impl<T: TimeDomain> SoaState<T> {
+    /// Empty state for `conditions` conditions at `scale`.
+    pub(crate) fn empty(conditions: usize, scale: T::Scale) -> SoaState<T> {
+        let words = conditions.div_ceil(64);
+        SoaState {
             scale,
             up_deadline: Vec::new(),
             up_ci: Vec::new(),
@@ -206,21 +361,27 @@ impl IntEngineState {
             lo_earliest: Vec::new(),
             lo_ci: Vec::new(),
             lo_trigger: Vec::new(),
-            min_deadline: u64::MAX,
-            min_earliest: u64::MAX,
-            warn_watermark: u64::MAX,
-            h_ticks: 0,
-            predict: false,
+            min_deadline: T::NONE,
+            min_earliest: T::NONE,
+            warn_watermark: T::NONE,
+            h: T::ZERO,
             horizon: None,
             active: vec![0; words],
             open_count: vec![0; conditions],
             pi_mask: vec![0; words],
             dis_mask: vec![0; words],
-            last_ticks: 0,
+            last: T::ZERO,
             events_seen: 0,
             events: Vec::new(),
             log_lifecycle: true,
         }
+    }
+
+    /// Turns [`EngineEvent::Opened`]/[`EngineEvent::Discharged`] logging
+    /// on or off (on by default; [`EngineEvent::Violated`] is always
+    /// logged).
+    pub fn set_log_lifecycle(&mut self, on: bool) {
+        self.log_lifecycle = on;
     }
 
     /// Number of conditions this state tracks.
@@ -233,48 +394,36 @@ impl IntEngineState {
         self.events_seen
     }
 
+    /// Time of the last stepped event (0 before any event).
+    pub fn last_time(&self) -> Rat {
+        self.last.to_rat(self.scale)
+    }
+
     /// Total number of currently open obligations.
     pub fn open_obligations(&self) -> usize {
         self.up_deadline.len() + self.lo_earliest.len()
     }
 
-    /// The tick scale this state's times are expressed in.
-    pub fn scale(&self) -> TimeScale {
-        self.scale
-    }
-
-    /// Time of the last stepped event, in the exact domain.
-    pub(crate) fn last_time(&self) -> Rat {
-        self.scale.from_ticks(self.last_ticks)
-    }
-
-    /// The armed prediction horizon, in the exact domain (`None` when
-    /// prediction is off).
-    pub(crate) fn horizon(&self) -> Option<Rat> {
+    /// The attached warning horizon, if prediction is on.
+    pub fn horizon(&self) -> Option<Rat> {
         self.horizon
     }
 
-    /// The tightest open deadline in the exact domain. O(1): the
-    /// `min_deadline` watermark is recomputed by every scan that
-    /// removes a deadline and min-folded by every open, so it is the
-    /// true minimum at all times — not merely a stale-low gate.
-    pub(crate) fn min_deadline_rat(&self) -> Option<Rat> {
-        (self.min_deadline != u64::MAX).then(|| self.scale.from_ticks(self.min_deadline))
+    /// The earliest open deadline, if any deadline is open:
+    /// `min_deadline − last_time` is the stream's minimum upper-bound
+    /// slack. O(1): read off the exact `min_deadline` watermark.
+    pub fn min_deadline(&self) -> Option<Rat> {
+        T::unmark(self.min_deadline).map(|d| d.to_rat(self.scale))
     }
 
-    /// Visits every open lower window as `(ci, earliest)` in the exact
-    /// domain — the `Ft` query's iteration hook.
-    pub(crate) fn for_each_open_lower(&self, f: &mut impl FnMut(usize, Rat)) {
-        for k in 0..self.lo_earliest.len() {
-            f(
-                self.lo_ci[k] as usize,
-                self.scale.from_ticks(self.lo_earliest[k]),
-            );
-        }
-    }
-
-    pub(crate) fn set_log_lifecycle(&mut self, on: bool) {
-        self.log_lifecycle = on;
+    /// The open obligations of condition `ci`, ordered by (trigger,
+    /// window before deadline).
+    pub fn open_of(&self, ci: usize) -> Vec<Obligation> {
+        self.rows()
+            .into_iter()
+            .filter(|r| r.ci == ci)
+            .map(|r| self.obligation(&r))
+            .collect()
     }
 
     /// The reusable event-log buffer — consumers that move violations
@@ -283,248 +432,78 @@ impl IntEngineState {
         &mut self.events
     }
 
-    /// Materializes condition `ci`'s open obligations in the exact
-    /// domain, ordered by (trigger, window-before-deadline) — the order
-    /// the exact engine opens them in.
-    pub(crate) fn open_of(&self, ci: usize) -> Vec<Obligation> {
-        let mut obs: Vec<(u64, bool, u64)> = Vec::new();
-        for k in 0..self.lo_earliest.len() {
-            if self.lo_ci[k] as usize == ci {
-                obs.push((self.lo_trigger[k], false, self.lo_earliest[k]));
-            }
-        }
-        for k in 0..self.up_deadline.len() {
-            if self.up_ci[k] as usize == ci {
-                obs.push((self.up_trigger[k], true, self.up_deadline[k]));
-            }
-        }
-        obs.sort_unstable();
-        obs.into_iter()
-            .map(|(ti, is_upper, t)| Obligation {
-                trigger_index: ti as usize,
-                kind: if is_upper {
-                    ObligationKind::Upper {
-                        deadline: self.scale.from_ticks(t),
-                    }
-                } else {
-                    ObligationKind::Lower {
-                        earliest: self.scale.from_ticks(t),
-                    }
-                },
-            })
-            .collect()
+    /// Every open obligation in canonical order.
+    fn rows(&self) -> Vec<Row<T>> {
+        let lows = (0..self.lo_earliest.len()).map(|k| Row {
+            ci: self.lo_ci[k] as usize,
+            trigger: self.lo_trigger[k] as usize,
+            upper: false,
+            at: self.lo_earliest[k],
+            warn: T::NONE,
+        });
+        let ups = (0..self.up_deadline.len()).map(|k| Row {
+            ci: self.up_ci[k] as usize,
+            trigger: self.up_trigger[k] as usize,
+            upper: true,
+            at: self.up_deadline[k],
+            warn: self.up_warn[k],
+        });
+        let mut rows: Vec<Row<T>> = lows.chain(ups).collect();
+        rows.sort_by_key(|r| (r.ci, r.trigger, r.upper, r.at));
+        rows
     }
 
-    /// Converts losslessly to the exact backend's state: tick values
-    /// become the `Rat`s they represent exactly. This is the spill path
-    /// (an unrepresentable event time mid-stream), the snapshot path
-    /// (serialization is backend-agnostic), and the hot-reload path
-    /// (remapping happens in the exact domain).
-    pub(crate) fn to_exact(&self) -> EngineState {
-        let n = self.conditions();
-        let mut st = EngineState::new(n);
-        st.last_time = self.last_time();
-        st.events_seen = self.events_seen;
-        st.log_lifecycle = self.log_lifecycle;
-        st.horizon = self.horizon;
-        for ci in 0..n {
-            if self.open_count[ci] == 0 {
-                continue;
-            }
-            for (ti, is_upper, t, warn) in self.open_with_warn(ci) {
-                let ob = Obligation {
-                    trigger_index: ti as usize,
-                    kind: if is_upper {
-                        ObligationKind::Upper {
-                            deadline: self.scale.from_ticks(t),
-                        }
-                    } else {
-                        ObligationKind::Lower {
-                            earliest: self.scale.from_ticks(t),
-                        }
-                    },
-                };
-                let entry = if warn == WARNED {
-                    OpenOb::plain(ob)
-                } else {
-                    let warn_at = self.scale.from_ticks(warn);
-                    st.warn_watermark = Some(st.warn_watermark.map_or(warn_at, |w| w.min(warn_at)));
-                    OpenOb {
-                        ob,
-                        warn_at,
-                        warned: false,
-                    }
-                };
-                st.open[ci].push(entry);
-                bit_set(&mut st.active, ci);
-            }
-        }
-        st
-    }
-
-    /// Condition `ci`'s open obligations as raw `(trigger, is_upper,
-    /// tick, warn_tick)` rows in canonical (trigger,
-    /// window-before-deadline) order — the warn-state-carrying walk
-    /// behind [`to_exact`](IntEngineState::to_exact) and the finish
-    /// path. Lowers carry [`WARNED`] (warnings only apply to deadlines).
-    fn open_with_warn(&self, ci: usize) -> Vec<(u64, bool, u64, u64)> {
-        let mut obs: Vec<(u64, bool, u64, u64)> = Vec::new();
-        for k in 0..self.lo_earliest.len() {
-            if self.lo_ci[k] as usize == ci {
-                obs.push((self.lo_trigger[k], false, self.lo_earliest[k], WARNED));
-            }
-        }
-        for k in 0..self.up_deadline.len() {
-            if self.up_ci[k] as usize == ci {
-                obs.push((
-                    self.up_trigger[k],
-                    true,
-                    self.up_deadline[k],
-                    self.up_warn[k],
-                ));
-            }
-        }
-        obs.sort_unstable();
-        obs
-    }
-
-    /// The reverse adoption: lifts an exact state into this plan's tick
-    /// domain, or `None` when any open obligation's time (or the stream
-    /// position) refuses exact conversion — the stream then stays on
-    /// the exact backend.
-    pub(crate) fn from_exact(plan: &IntPlan, st: &EngineState) -> Option<IntEngineState> {
-        let mut out = IntEngineState::new(st.open.len(), plan.scale);
-        out.last_ticks = plan.scale.to_ticks(st.last_time)?;
-        if !plan.safe_ticks(out.last_ticks) {
-            return None;
-        }
-        out.events_seen = st.events_seen;
-        out.log_lifecycle = st.log_lifecycle;
-        if let Some(h) = st.horizon {
-            out.h_ticks = plan.scale.to_ticks(h)?;
-            out.predict = true;
-            out.horizon = Some(h);
-        }
-        for (ci, obs) in st.open.iter().enumerate() {
-            for o in obs {
-                let ti = o.ob.trigger_index as u64;
-                match o.ob.kind {
-                    ObligationKind::Lower { earliest } => {
-                        let t = plan.scale.to_ticks(earliest)?;
-                        out.lo_earliest.push(t);
-                        out.lo_ci.push(ci as u32);
-                        out.lo_trigger.push(ti);
-                        out.min_earliest = out.min_earliest.min(t);
-                    }
-                    ObligationKind::Upper { deadline } => {
-                        let t = plan.scale.to_ticks(deadline)?;
-                        let warn = if o.warned {
-                            WARNED
-                        } else {
-                            let w = plan.scale.to_ticks(o.warn_at)?.min(WARNED - 1);
-                            out.warn_watermark = out.warn_watermark.min(w);
-                            w
-                        };
-                        out.up_deadline.push(t);
-                        out.up_ci.push(ci as u32);
-                        out.up_trigger.push(ti);
-                        out.up_warn.push(warn);
-                        out.min_deadline = out.min_deadline.min(t);
-                    }
-                }
-                out.open_count[ci] += 1;
-                bit_set(&mut out.active, ci);
-            }
-        }
-        Some(out)
-    }
-
-    /// Opens a trigger's (up to two) obligations at trigger time
-    /// `ticks` and logs them — the integer twin of
-    /// [`EngineState::open_trigger`], and like it pinned inline so the
-    /// open phase stays in the steppers' loop bodies.
-    #[inline(always)]
-    pub(crate) fn open_trigger(
-        &mut self,
-        plan: &IntPlan,
-        ci: usize,
-        trigger_index: usize,
-        ticks: u64,
-    ) {
-        let b_l = plan.lower[ci];
-        if b_l > 0 {
-            // Cannot overflow: the caller's `safe_ticks` precheck
-            // guarantees `ticks + max_bound` fits.
-            let earliest = ticks + b_l;
-            self.lo_earliest.push(earliest);
-            self.lo_ci.push(ci as u32);
-            self.lo_trigger.push(trigger_index as u64);
-            self.min_earliest = self.min_earliest.min(earliest);
-            self.open_count[ci] += 1;
-            bit_set(&mut self.active, ci);
-            if self.log_lifecycle {
-                self.events.push(EngineEvent::Opened {
-                    ci,
-                    obligation: Obligation {
-                        trigger_index,
-                        kind: ObligationKind::Lower {
-                            earliest: self.scale.from_ticks(earliest),
-                        },
-                    },
-                    t_i: self.scale.from_ticks(ticks),
-                });
-            }
-            // Ft(U) at open: the whole window clears the horizon, so
-            // report the forced window once, now. Rat conversions here
-            // are per-trigger (not per-event) and only on predictive
-            // streams with qualifying margins.
-            if self.predict && self.h_ticks > 0 && b_l >= self.h_ticks {
-                self.events.push(EngineEvent::Forced {
-                    ci,
-                    trigger_index,
-                    earliest: self.scale.from_ticks(earliest),
-                    t_i: self.scale.from_ticks(ticks),
-                    margin: self.scale.from_ticks(b_l),
-                });
-            }
-        }
-        let b_u = plan.upper[ci];
-        if b_u != NO_DEADLINE {
-            let deadline = ticks + b_u;
-            self.up_deadline.push(deadline);
-            self.up_ci.push(ci as u32);
-            self.up_trigger.push(trigger_index as u64);
-            if self.predict {
-                // warn tick = deadline − min(h, b_u) = max(deadline − h,
-                // t_i); capped below the sentinel (reachable only when
-                // the deadline itself is u64::MAX, past any steppable
-                // event time anyway).
-                let w = (deadline - self.h_ticks.min(b_u)).min(WARNED - 1);
-                self.warn_watermark = self.warn_watermark.min(w);
-                self.up_warn.push(w);
+    fn obligation(&self, r: &Row<T>) -> Obligation {
+        let at = r.at.to_rat(self.scale);
+        Obligation {
+            trigger_index: r.trigger,
+            kind: if r.upper {
+                ObligationKind::Upper { deadline: at }
             } else {
-                self.up_warn.push(WARNED);
-            }
-            self.min_deadline = self.min_deadline.min(deadline);
-            self.open_count[ci] += 1;
-            bit_set(&mut self.active, ci);
-            if self.log_lifecycle {
-                self.events.push(EngineEvent::Opened {
-                    ci,
-                    obligation: Obligation {
-                        trigger_index,
-                        kind: ObligationKind::Upper {
-                            deadline: self.scale.from_ticks(deadline),
-                        },
-                    },
-                    t_i: self.scale.from_ticks(ticks),
-                });
-            }
+                ObligationKind::Lower { earliest: at }
+            },
         }
     }
 
-    /// Removes one open obligation from the struct-of-arrays store,
-    /// keeping the active mask in sync.
+    /// Visits every open lower window as `(ci, earliest)` in the exact
+    /// domain — the `Ft` query's iteration hook.
+    pub(crate) fn for_each_open_lower(&self, f: &mut impl FnMut(usize, Rat)) {
+        for k in 0..self.lo_earliest.len() {
+            f(
+                self.lo_ci[k] as usize,
+                self.lo_earliest[k].to_rat(self.scale),
+            );
+        }
+    }
+
+    /// Stores an open window for condition `ci`.
+    #[inline(always)]
+    fn push_lower(&mut self, ci: usize, trigger: usize, earliest: T) {
+        self.lo_earliest.push(earliest);
+        self.lo_ci.push(ci as u32);
+        self.lo_trigger.push(trigger as u64);
+        self.min_earliest = T::min_mark(self.min_earliest, earliest);
+        self.open_count[ci] += 1;
+        bit_set(&mut self.active, ci);
+    }
+
+    /// Stores an open deadline for condition `ci` with its warning mark.
+    #[inline(always)]
+    fn push_upper(&mut self, ci: usize, trigger: usize, deadline: T, warn: T::Mark) {
+        self.up_deadline.push(deadline);
+        self.up_ci.push(ci as u32);
+        self.up_trigger.push(trigger as u64);
+        self.up_warn.push(warn);
+        if let Some(w) = T::unmark(warn) {
+            self.warn_watermark = T::min_mark(self.warn_watermark, w);
+        }
+        self.min_deadline = T::min_mark(self.min_deadline, deadline);
+        self.open_count[ci] += 1;
+        bit_set(&mut self.active, ci);
+    }
+
+    /// Removes one open obligation's count, keeping the active mask in
+    /// sync.
     #[inline]
     fn note_removed(&mut self, ci: usize) {
         self.open_count[ci] -= 1;
@@ -533,29 +512,95 @@ impl IntEngineState {
         }
     }
 
-    /// Emits a [`EngineEvent::Warned`] for every pending deadline whose
-    /// warning point has passed strictly (`ticks > warn tick`), marks
-    /// it [`WARNED`], and recomputes the watermark. Off the fast path:
-    /// only entered when an event actually crosses `warn_watermark`.
-    #[inline(never)]
-    fn sweep_warnings(&mut self, ticks: u64) {
-        let mark = self.events.len();
-        let mut next = u64::MAX;
-        for k in 0..self.up_warn.len() {
-            let w = self.up_warn[k];
-            if w == WARNED {
-                continue;
+    /// Opens a trigger's (up to two) obligations at trigger time `t`
+    /// and logs them. `inline(always)`: this is the open phase of the
+    /// stepper's loop body, and an outlined call here costs several
+    /// ns/event on the E12 pulse stream.
+    #[inline(always)]
+    pub(crate) fn open_trigger(&mut self, plan: &Plan<T>, ci: usize, trigger_index: usize, t: T) {
+        let b_l = plan.lower[ci];
+        // A zero lower bound can never be violated (times are
+        // nondecreasing), so no window opens for it.
+        if b_l > T::ZERO {
+            // Cannot overflow on ticks: the caller's headroom check
+            // guarantees `t + max_bound` fits.
+            let earliest = t.add(b_l);
+            self.push_lower(ci, trigger_index, earliest);
+            if self.log_lifecycle {
+                self.events.push(EngineEvent::Opened {
+                    ci,
+                    obligation: Obligation {
+                        trigger_index,
+                        kind: ObligationKind::Lower {
+                            earliest: earliest.to_rat(self.scale),
+                        },
+                    },
+                    t_i: t.to_rat(self.scale),
+                });
             }
-            if ticks > w {
-                self.up_warn[k] = WARNED;
+            // Ft(U): the window keeps Π away for at least a full
+            // horizon — report the forced window once, as it opens.
+            if self.horizon.is_some() && self.h > T::ZERO && b_l >= self.h {
+                self.events.push(EngineEvent::Forced {
+                    ci,
+                    trigger_index,
+                    earliest: earliest.to_rat(self.scale),
+                    t_i: t.to_rat(self.scale),
+                    margin: b_l.to_rat(self.scale),
+                });
+            }
+        }
+        // An infinite upper bound imposes no deadline.
+        if let Some(b_u) = T::unmark(plan.upper[ci]) {
+            let deadline = t.add(b_u);
+            // Lt(U): fix the warning point `deadline − min(h, b_u) =
+            // max(deadline − h, t_i)` now; the sweep emits the warning
+            // when an event passes it.
+            let warn = if self.horizon.is_some() {
+                deadline.sub(self.h.min(b_u)).mark()
+            } else {
+                T::NONE
+            };
+            self.push_upper(ci, trigger_index, deadline, warn);
+            if self.log_lifecycle {
+                self.events.push(EngineEvent::Opened {
+                    ci,
+                    obligation: Obligation {
+                        trigger_index,
+                        kind: ObligationKind::Upper {
+                            deadline: deadline.to_rat(self.scale),
+                        },
+                    },
+                    t_i: t.to_rat(self.scale),
+                });
+            }
+        }
+    }
+
+    /// Emits a [`EngineEvent::Warned`] for every pending deadline whose
+    /// warning point `t` has strictly passed, marks it warned, and
+    /// recomputes the watermark exactly. Off the fast path: only
+    /// entered when an event crosses `warn_watermark`. Emission is
+    /// ordered by (condition, trigger); storage order is a
+    /// `swap_remove` artifact.
+    #[inline(never)]
+    fn sweep_warnings(&mut self, t: T) {
+        let mark = self.events.len();
+        let mut next = T::NONE;
+        for k in 0..self.up_warn.len() {
+            let Some(w) = T::unmark(self.up_warn[k]) else {
+                continue;
+            };
+            if t > w {
+                self.up_warn[k] = T::NONE;
                 self.events.push(EngineEvent::Warned {
                     ci: self.up_ci[k] as usize,
                     trigger_index: self.up_trigger[k] as usize,
-                    deadline: self.scale.from_ticks(self.up_deadline[k]),
-                    warn_at: self.scale.from_ticks(w),
+                    deadline: self.up_deadline[k].to_rat(self.scale),
+                    warn_at: w.to_rat(self.scale),
                 });
             } else {
-                next = next.min(w);
+                next = T::min_mark(next, w);
             }
         }
         self.warn_watermark = next;
@@ -568,12 +613,130 @@ impl IntEngineState {
             });
         }
     }
+
+    /// Re-instantiates this state in domain `U` at `scale`: the same
+    /// arrays, each value mapped through the exact domain. `None` when
+    /// some value (or the horizon) has no exact representation in `U` —
+    /// never for `U = Rat`. This is the mid-stream spill (ticks → `Rat`),
+    /// the snapshot (ticks → `Rat`) and resume (`Rat` → ticks).
+    pub(crate) fn rescale<U: TimeDomain>(&self, scale: U::Scale) -> Option<SoaState<U>> {
+        let conv = |v: T| U::from_rat(v.to_rat(self.scale), scale);
+        let mut out = SoaState::<U>::empty(self.conditions(), scale);
+        out.last = conv(self.last)?;
+        out.events_seen = self.events_seen;
+        out.log_lifecycle = self.log_lifecycle;
+        if let Some(h) = self.horizon {
+            out.h = U::from_rat(h, scale)?;
+            out.horizon = Some(h);
+        }
+        for k in 0..self.lo_earliest.len() {
+            let ci = self.lo_ci[k] as usize;
+            out.push_lower(ci, self.lo_trigger[k] as usize, conv(self.lo_earliest[k])?);
+        }
+        for k in 0..self.up_deadline.len() {
+            let warn = match T::unmark(self.up_warn[k]) {
+                Some(w) => conv(w)?.mark(),
+                None => U::NONE,
+            };
+            let ci = self.up_ci[k] as usize;
+            out.push_upper(
+                ci,
+                self.up_trigger[k] as usize,
+                conv(self.up_deadline[k])?,
+                warn,
+            );
+        }
+        Some(out)
+    }
+
+    /// Re-indexes this state for a new condition set — the state-level
+    /// half of hot spec reload.
+    ///
+    /// `map[ci]` gives the index in the *new* set of the condition that
+    /// was at index `ci` here, or `None` if it no longer exists (the
+    /// map's length must equal [`conditions`](Self::conditions), and
+    /// `new_conditions` bounds its targets). Obligations of preserved
+    /// conditions carry over **verbatim** — their deadlines are
+    /// absolute times fixed when the trigger fired, and revising a spec
+    /// does not revise history; the new bounds govern triggers that
+    /// fire after the swap. Obligations of dropped conditions are
+    /// returned alongside the new state, tagged with their *old*
+    /// condition index and in canonical order, so the caller can report
+    /// them as closed rather than lose them silently.
+    ///
+    /// Stream position, the lifecycle logging flag, and the predictive
+    /// state (horizon, per-obligation warning points and warned flags —
+    /// fixed when each trigger fired, so a reload never re-warns or
+    /// un-warns carried obligations) carry over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` does not cover every old condition or maps past
+    /// `new_conditions`.
+    pub fn remap(
+        &self,
+        map: &[Option<usize>],
+        new_conditions: usize,
+    ) -> (SoaState<T>, Vec<(usize, Obligation)>) {
+        assert_eq!(
+            map.len(),
+            self.conditions(),
+            "remap map must cover every old condition"
+        );
+        let mut next = SoaState::empty(new_conditions, self.scale);
+        next.last = self.last;
+        next.events_seen = self.events_seen;
+        next.log_lifecycle = self.log_lifecycle;
+        next.h = self.h;
+        next.horizon = self.horizon;
+        let mut dropped = Vec::new();
+        for r in self.rows() {
+            match map[r.ci] {
+                Some(ni) => {
+                    assert!(ni < new_conditions, "remap target out of range");
+                    if r.upper {
+                        next.push_upper(ni, r.trigger, r.at, r.warn);
+                    } else {
+                        next.push_lower(ni, r.trigger, r.at);
+                    }
+                }
+                None => dropped.push((r.ci, self.obligation(&r))),
+            }
+        }
+        (next, dropped)
+    }
+}
+
+impl EngineState {
+    /// Attaches (or, with `None`, detaches) a warning horizon: every
+    /// open deadline's warning point is recomputed from the plan's
+    /// bounds — `max(deadline − horizon, t_i)` with `t_i = deadline −
+    /// b_u` — and points the stream has already strictly passed are
+    /// marked warned, so resuming a snapshot never re-emits warnings
+    /// the stream saw before it was snapshotted.
+    pub(crate) fn arm(&mut self, plan: &Plan<Rat>, horizon: Option<Rat>) {
+        self.horizon = horizon;
+        self.h = horizon.unwrap_or(Rat::ZERO);
+        self.warn_watermark = None;
+        for k in 0..self.up_deadline.len() {
+            self.up_warn[k] = horizon.and_then(|h| {
+                let d = self.up_deadline[k];
+                // A deadline carried across a reload onto an unbounded
+                // condition measures from time zero.
+                let b_u = plan.upper(self.up_ci[k] as usize).unwrap_or(d);
+                let w = d - h.min(b_u);
+                (w >= self.last).then_some(w)
+            });
+            if let Some(w) = self.up_warn[k] {
+                self.warn_watermark = Rat::min_mark(self.warn_watermark, w);
+            }
+        }
+    }
 }
 
 /// Sort key pinning the resolve phase's event order to (condition,
-/// trigger, window-before-deadline) — deterministic across the separate
-/// lower/upper array scans, and equal to the exact engine's
-/// per-condition emission order in the common (unscrambled) case.
+/// trigger, window before deadline) — deterministic across the separate
+/// lower/upper array scans.
 fn resolve_order(ev: &EngineEvent) -> (usize, usize, bool) {
     match ev {
         EngineEvent::Discharged { ci, obligation } => (
@@ -586,50 +749,58 @@ fn resolve_order(ev: &EngineEvent) -> (usize, usize, bool) {
             ViolationKind::UpperBound { trigger_index, .. } => (*ci, *trigger_index, true),
         },
         // The resolve phase never emits Opened, Warned, or Forced.
-        EngineEvent::Opened { ci, obligation, .. } => (*ci, obligation.trigger_index, false),
-        EngineEvent::Warned { .. } | EngineEvent::Forced { .. } => (usize::MAX, usize::MAX, true),
+        EngineEvent::Opened { .. } | EngineEvent::Warned { .. } | EngineEvent::Forced { .. } => {
+            (usize::MAX, usize::MAX, true)
+        }
     }
 }
 
-/// Steps one classified event at (nondecreasing) `ticks` against the
-/// struct-of-arrays obligation store — the integer twin of
-/// [`step_specs`](super::step_specs), with identical Definition 3.1
-/// semantics: existing obligations resolve first (a trigger's bounds
-/// constrain strictly later events only), then the event's triggers
-/// open new ones.
+/// Steps one classified event at (nondecreasing) time `t` against the
+/// open obligations — Definition 3.1 in one pass:
 ///
-/// `dense` selects the open-phase strategy exactly as in the exact
-/// steppers: word-mask trigger scans for sets with dispatch-table bits,
-/// a per-condition predicate loop otherwise.
-pub(crate) fn step_int<'a, C: Classify>(
-    plan: &IntPlan,
-    st: &'a mut IntEngineState,
+/// 1. owed warnings are swept first, so a deadline that blows in one
+///    time jump still warns before its violation;
+/// 2. existing obligations resolve (a trigger's bounds constrain
+///    strictly later events only), emitted in (condition, trigger,
+///    window before deadline) order;
+/// 3. the event's own triggers open new obligations, in condition
+///    order.
+///
+/// `Π`/disabling classification is only requested for conditions that
+/// hold open obligations, so a lazy [`Classify`] source pays nothing
+/// for quiescent conditions. `dense` selects the open-phase strategy:
+/// word-mask trigger scans for sets with dispatch-table bits, a
+/// per-condition predicate loop otherwise.
+///
+/// # Panics
+///
+/// Panics if `t` decreases below the last stepped time.
+pub(crate) fn step<'a, T: TimeDomain, C: Classify>(
+    plan: &Plan<T>,
+    st: &'a mut SoaState<T>,
     cls: &C,
-    ticks: u64,
+    t: T,
     dense: bool,
 ) -> &'a [EngineEvent] {
     assert!(
-        ticks >= st.last_ticks,
+        t >= st.last,
         "monitored event times must be nondecreasing: {} after {}",
-        st.scale.from_ticks(ticks),
-        st.scale.from_ticks(st.last_ticks),
+        t.to_rat(st.scale),
+        st.last.to_rat(st.scale),
     );
     st.events.clear();
     st.events_seen += 1;
     let j = st.events_seen;
 
-    // Warning sweep first: warnings report the passage of time, so they
-    // precede whatever this event resolves (a deadline that violates on
-    // this very event still gets its owed warning first). One compare on
-    // the quiescent path — the watermark generalizes `min_deadline`.
-    if ticks > st.warn_watermark {
-        st.sweep_warnings(ticks);
+    // Warning sweep first: one compare on the quiescent path — the
+    // watermark generalizes `min_deadline`.
+    if t.past(st.warn_watermark) {
+        st.sweep_warnings(t);
     }
 
-    // Pre-scan: classify the event against the *active* conditions only,
-    // caching Π / disabling bits in the scratch masks. Quiescent
-    // conditions are never classified; a fully quiescent event costs one
-    // word read per 64 conditions.
+    // Pre-scan: classify the event against the *active* conditions
+    // only, caching Π / disabling bits in the scratch masks. A fully
+    // quiescent event costs one word read per 64 conditions.
     let words = st.active.len();
     let mut any_serve = 0u64;
     for w in 0..words {
@@ -657,23 +828,25 @@ pub(crate) fn step_int<'a, C: Classify>(
     // min-deadline/min-earliest skips the scans entirely, so 100k
     // quiescent obligations cost the same as one.
     let resolved_from = st.events.len();
-    if any_serve != 0 || ticks >= st.min_earliest {
-        let mut min_e = u64::MAX;
+    if any_serve != 0 || t.reached(st.min_earliest) {
+        let mut min_e = T::NONE;
         let mut k = 0;
         while k < st.lo_earliest.len() {
             let e = st.lo_earliest[k];
             let ci = st.lo_ci[k] as usize;
             let (w, b) = (ci / 64, ci % 64);
             // Definition 3.1 order: the closed window discharges before
-            // the Π check, and only an *escaping* lower bound lets a
-            // disabling state discharge it.
-            let violated = ticks < e && st.pi_mask[w] & (1u64 << b) != 0;
-            let discharged = ticks >= e
+            // the Π check; a disabling post-state excuses only *later*
+            // events, never its own event's Π check; and only an
+            // escaping lower bound lets a disabling state discharge it.
+            let open = t < e;
+            let violated = open && st.pi_mask[w] & (1u64 << b) != 0;
+            let discharged = !open
                 || (!violated
                     && st.dis_mask[w] & (1u64 << b) != 0
                     && plan.escape[w] & (1u64 << b) != 0);
             if !violated && !discharged {
-                min_e = min_e.min(e);
+                min_e = T::min_mark(min_e, e);
                 k += 1;
                 continue;
             }
@@ -682,13 +855,14 @@ pub(crate) fn step_int<'a, C: Classify>(
             st.lo_ci.swap_remove(k);
             st.lo_trigger.swap_remove(k);
             st.note_removed(ci);
+            // Values convert to `Rat` only when something is logged.
             if violated {
                 st.events.push(EngineEvent::Violated {
                     ci,
                     kind: ViolationKind::LowerBound {
                         trigger_index: ti,
                         event_index: j,
-                        earliest: st.scale.from_ticks(e),
+                        earliest: e.to_rat(st.scale),
                     },
                 });
             } else if st.log_lifecycle {
@@ -697,7 +871,7 @@ pub(crate) fn step_int<'a, C: Classify>(
                     obligation: Obligation {
                         trigger_index: ti,
                         kind: ObligationKind::Lower {
-                            earliest: st.scale.from_ticks(e),
+                            earliest: e.to_rat(st.scale),
                         },
                     },
                 });
@@ -705,8 +879,8 @@ pub(crate) fn step_int<'a, C: Classify>(
         }
         st.min_earliest = min_e;
     }
-    if any_serve != 0 || ticks > st.min_deadline {
-        let mut min_d = u64::MAX;
+    if any_serve != 0 || t.past(st.min_deadline) {
+        let mut min_d = T::NONE;
         let mut k = 0;
         while k < st.up_deadline.len() {
             let d = st.up_deadline[k];
@@ -714,10 +888,10 @@ pub(crate) fn step_int<'a, C: Classify>(
             let (w, b) = (ci / 64, ci % 64);
             // Past-deadline wins over same-event service: times are
             // nondecreasing, so the deadline definitely passed unserved.
-            let violated = ticks > d;
+            let violated = t > d;
             let discharged = !violated && (st.pi_mask[w] | st.dis_mask[w]) & (1u64 << b) != 0;
             if !violated && !discharged {
-                min_d = min_d.min(d);
+                min_d = T::min_mark(min_d, d);
                 k += 1;
                 continue;
             }
@@ -732,7 +906,7 @@ pub(crate) fn step_int<'a, C: Classify>(
                     ci,
                     kind: ViolationKind::UpperBound {
                         trigger_index: ti,
-                        deadline: st.scale.from_ticks(d),
+                        deadline: d.to_rat(st.scale),
                     },
                 });
             } else if st.log_lifecycle {
@@ -741,7 +915,7 @@ pub(crate) fn step_int<'a, C: Classify>(
                     obligation: Obligation {
                         trigger_index: ti,
                         kind: ObligationKind::Upper {
-                            deadline: st.scale.from_ticks(d),
+                            deadline: d.to_rat(st.scale),
                         },
                     },
                 });
@@ -750,84 +924,70 @@ pub(crate) fn step_int<'a, C: Classify>(
         st.min_deadline = min_d;
     }
     // The two array scans emit in store order; pin the consumer-visible
-    // order to (condition, trigger) like the exact engine's
-    // per-condition walk — sorting only the resolve slice, so
-    // sweep-emitted warnings keep their place ahead of it. Only paid
-    // when something actually resolved.
+    // order — sorting only the resolve slice, so swept warnings keep
+    // their place ahead of it. Only paid when something resolved.
     if st.events.len() - resolved_from > 1 {
         st.events[resolved_from..].sort_by_key(resolve_order);
     }
 
-    // Open phase — identical shape to the exact steppers.
+    // Open phase.
     if dense {
         for w in 0..words {
             let mut trig = cls.trigger_word(w);
             while trig != 0 {
                 let ci = w * 64 + trig.trailing_zeros() as usize;
                 trig &= trig - 1;
-                st.open_trigger(plan, ci, j, ticks);
+                st.open_trigger(plan, ci, j, t);
             }
         }
     } else {
         for ci in 0..st.open_count.len() {
             if cls.trigger(ci) {
-                st.open_trigger(plan, ci, j, ticks);
+                st.open_trigger(plan, ci, j, t);
             }
         }
     }
-    st.last_ticks = ticks;
+    st.last = t;
     &st.events
 }
 
-/// Ends the stream on the integer backend: the twin of
-/// [`finish_specs`](super::finish_specs). Under
-/// [`SatisfactionMode::Complete`] every open deadline violates; open
-/// windows (and, under Prefix, open deadlines) discharge. Emission is
-/// ordered by (condition, trigger) for cross-backend determinism.
-pub(crate) fn finish_int(st: &mut IntEngineState, mode: SatisfactionMode) -> &[EngineEvent] {
+/// Ends the stream. Under [`SatisfactionMode::Complete`] (Definition
+/// 2.2) every open deadline violates — preceded by its warning, if one
+/// is still owed, exactly as a stepped event past the deadline would
+/// file it. Under [`SatisfactionMode::Prefix`] (Definition 3.1) open
+/// deadlines are excused: `t_end ≤ deadline`, so some extension could
+/// still meet them. Open windows always discharge. Emission follows the
+/// canonical (condition, trigger, window before deadline) order.
+pub(crate) fn finish<T: TimeDomain>(
+    st: &mut SoaState<T>,
+    mode: SatisfactionMode,
+) -> &[EngineEvent] {
     st.events.clear();
-    for ci in 0..st.conditions() {
-        if st.open_count[ci] == 0 {
-            continue;
-        }
-        for (ti, is_upper, t, warn) in st.open_with_warn(ci) {
-            let trigger_index = ti as usize;
-            if is_upper && matches!(mode, SatisfactionMode::Complete) {
-                let deadline = st.scale.from_ticks(t);
-                // End-of-stream is "time ran out": a still-pending
-                // warning is owed before the violation it predicted.
-                if warn != WARNED {
+    for r in st.rows() {
+        let ob = st.obligation(&r);
+        match (mode, ob.kind) {
+            (SatisfactionMode::Complete, ObligationKind::Upper { deadline }) => {
+                if let Some(w) = T::unmark(r.warn) {
                     st.events.push(EngineEvent::Warned {
-                        ci,
-                        trigger_index,
+                        ci: r.ci,
+                        trigger_index: r.trigger,
                         deadline,
-                        warn_at: st.scale.from_ticks(warn),
+                        warn_at: w.to_rat(st.scale),
                     });
                 }
                 st.events.push(EngineEvent::Violated {
-                    ci,
+                    ci: r.ci,
                     kind: ViolationKind::UpperBound {
-                        trigger_index,
+                        trigger_index: r.trigger,
                         deadline,
                     },
                 });
-            } else if st.log_lifecycle {
-                st.events.push(EngineEvent::Discharged {
-                    ci,
-                    obligation: Obligation {
-                        trigger_index,
-                        kind: if is_upper {
-                            ObligationKind::Upper {
-                                deadline: st.scale.from_ticks(t),
-                            }
-                        } else {
-                            ObligationKind::Lower {
-                                earliest: st.scale.from_ticks(t),
-                            }
-                        },
-                    },
-                });
             }
+            _ if st.log_lifecycle => st.events.push(EngineEvent::Discharged {
+                ci: r.ci,
+                obligation: ob,
+            }),
+            _ => {}
         }
     }
     st.up_deadline.clear();
@@ -837,45 +997,61 @@ pub(crate) fn finish_int(st: &mut IntEngineState, mode: SatisfactionMode) -> &[E
     st.lo_earliest.clear();
     st.lo_ci.clear();
     st.lo_trigger.clear();
-    st.min_deadline = u64::MAX;
-    st.min_earliest = u64::MAX;
-    st.warn_watermark = u64::MAX;
+    st.min_deadline = T::NONE;
+    st.min_earliest = T::NONE;
+    st.warn_watermark = T::NONE;
     st.active.fill(0);
     st.open_count.fill(0);
     &st.events
 }
 
-impl<S, A> CompiledConditionSet<S, A> {
-    /// The integer twin of [`CompiledConditionSet::start`]: a fresh
-    /// [`IntEngineState`] with the start-state obligations open, or
-    /// `None` when the set has no int plan.
-    pub(crate) fn start_int(&self, start: &S) -> Option<IntEngineState> {
-        let plan = self.int_plan.as_ref()?;
-        let mut st = IntEngineState::new(self.conds.len(), plan.scale);
-        for (ci, c) in self.conds.iter().enumerate() {
-            if c.in_t_start(start) {
-                st.open_trigger(plan, ci, 0, 0);
+#[cfg(feature = "serde")]
+mod serde_impls {
+    //! Exact snapshot encodings (feature `serde`): an [`EngineState`]
+    //! as `[events_seen, last_time, open]`, `open` holding each
+    //! condition's obligations in canonical (trigger, window before
+    //! deadline) order, with the rationals in `tempo-math`'s `"num/den"`
+    //! string form. Predictive bookkeeping (warning points, the
+    //! horizon) is derived state, rebuilt from the compiled bounds on
+    //! resume, so the format predates prediction and resumes unchanged.
+
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    use super::{EngineState, SoaState};
+    use crate::engine::{Obligation, ObligationKind};
+    use tempo_math::Rat;
+
+    impl Serialize for EngineState {
+        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+            let mut open: Vec<Vec<Obligation>> = vec![Vec::new(); self.conditions()];
+            for r in self.rows() {
+                open[r.ci].push(self.obligation(&r));
             }
+            (self.events_seen, self.last, open).serialize(serializer)
         }
-        st.events.clear();
-        Some(st)
     }
 
-    /// Whether every bound of this set fits the integer-tick domain —
-    /// i.e. whether the automatic backend selection picks the
-    /// monomorphized integer engine. Sets with non-`u64`-scalable
-    /// bounds (denominator LCM overflow, oversized or negative bounds)
-    /// stay on the exact engine.
-    pub fn int_capable(&self) -> bool {
-        self.int_plan.is_some()
-    }
-
-    /// The tick scale of the integer backend, when
-    /// [`int_capable`](CompiledConditionSet::int_capable): a
-    /// denominator of 1 means all bounds were integral and conversion
-    /// is a bare cast.
-    pub fn int_scale(&self) -> Option<TimeScale> {
-        self.int_plan.as_ref().map(|p| p.scale)
+    impl<'de> Deserialize<'de> for EngineState {
+        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<EngineState, D::Error> {
+            let (events_seen, last, open) =
+                <(usize, Rat, Vec<Vec<Obligation>>)>::deserialize(deserializer)?;
+            let mut st = SoaState::empty(open.len(), ());
+            st.events_seen = events_seen;
+            st.last = last;
+            for (ci, obs) in open.into_iter().enumerate() {
+                for ob in obs {
+                    match ob.kind {
+                        ObligationKind::Lower { earliest } => {
+                            st.push_lower(ci, ob.trigger_index, earliest)
+                        }
+                        ObligationKind::Upper { deadline } => {
+                            st.push_upper(ci, ob.trigger_index, deadline, None)
+                        }
+                    }
+                }
+            }
+            Ok(st)
+        }
     }
 }
 
@@ -883,31 +1059,33 @@ impl<S, A> CompiledConditionSet<S, A> {
 mod tests {
     use super::*;
 
-    fn spec(lo: i64, hi: Option<i64>) -> CondSpec {
-        CondSpec {
-            lower: Rat::from(lo),
-            upper: hi.map(Rat::from),
-            lower_escape: true,
-        }
+    fn exact(bounds: &[(Rat, Option<Rat>)]) -> Plan<Rat> {
+        Plan::new(bounds.iter().map(|&(lo, up)| (lo, up, true)))
+    }
+
+    fn ints(bounds: &[(i64, Option<i64>)]) -> Plan<Rat> {
+        exact(
+            &bounds
+                .iter()
+                .map(|&(lo, up)| (Rat::from(lo), up.map(Rat::from)))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn plan_lowers_integral_bounds_to_unit_scale() {
-        let plan = IntPlan::from_specs(&[spec(2, Some(5)), spec(0, None)]).unwrap();
+        let plan = ints(&[(2, Some(5)), (0, None)]).to_ticks().unwrap();
         assert!(plan.scale.is_unit());
         assert_eq!(plan.lower, vec![2, 0]);
-        assert_eq!(plan.upper, vec![5, NO_DEADLINE]);
+        assert_eq!(plan.upper, vec![5, u64::NONE]);
         assert_eq!(plan.max_bound, 5);
     }
 
     #[test]
     fn plan_scales_rational_bounds() {
-        let specs = [CondSpec {
-            lower: Rat::new(1, 2),
-            upper: Some(Rat::new(7, 3)),
-            lower_escape: true,
-        }];
-        let plan = IntPlan::from_specs(&specs).unwrap();
+        let plan = exact(&[(Rat::new(1, 2), Some(Rat::new(7, 3)))])
+            .to_ticks()
+            .unwrap();
         assert_eq!(plan.scale.denominator(), 6);
         assert_eq!(plan.lower, vec![3]);
         assert_eq!(plan.upper, vec![14]);
@@ -916,66 +1094,63 @@ mod tests {
     #[test]
     fn plan_refuses_unscalable_bounds() {
         // Denominator LCM overflow: coprime factors past u64.
-        let a = CondSpec {
-            lower: Rat::new(1, (1i128 << 32) + 1),
-            upper: Some(Rat::new(1, (1i128 << 32) - 1)),
-            lower_escape: true,
-        };
-        let b = CondSpec {
-            lower: Rat::new(1, 7),
-            upper: None,
-            lower_escape: true,
-        };
-        assert!(IntPlan::from_specs(std::slice::from_ref(&a)).is_some());
-        assert!(IntPlan::from_specs(&[a, b]).is_none());
+        let a = (
+            Rat::new(1, (1i128 << 32) + 1),
+            Some(Rat::new(1, (1i128 << 32) - 1)),
+        );
+        let b = (Rat::new(1, 7), None);
+        assert!(exact(&[a]).to_ticks().is_some());
+        assert!(exact(&[a, b]).to_ticks().is_none());
         // A bound too large for u64 ticks.
-        let big = CondSpec {
-            lower: Rat::ZERO,
-            upper: Some(Rat::from(1i128 << 70)),
-            lower_escape: true,
-        };
-        assert!(IntPlan::from_specs(&[big]).is_none());
+        assert!(exact(&[(Rat::ZERO, Some(Rat::from(1i128 << 70)))])
+            .to_ticks()
+            .is_none());
     }
 
     #[test]
     fn exact_round_trip_preserves_obligations() {
-        let plan = IntPlan::from_specs(&[spec(2, Some(5)), spec(1, Some(9))]).unwrap();
-        let mut st = IntEngineState::new(2, plan.scale);
+        let plan = ints(&[(2, Some(5)), (1, Some(9))]).to_ticks().unwrap();
+        let mut st = IntEngineState::empty(2, plan.scale);
         st.open_trigger(&plan, 0, 0, 0);
         st.open_trigger(&plan, 1, 3, 10);
-        let exact = st.to_exact();
+        let exact = st.rescale::<Rat>(()).unwrap();
         assert_eq!(exact.open_obligations(), 4);
-        let back = IntEngineState::from_exact(&plan, &exact).unwrap();
-        assert_eq!(back.open_obligations(), 4);
+        assert_eq!(exact.min_deadline, Some(Rat::from(5)));
+        assert_eq!(exact.min_earliest, Some(Rat::from(2)));
+        let back = exact.rescale::<u64>(plan.scale).unwrap();
         assert_eq!(back.open_of(0), st.open_of(0));
         assert_eq!(back.open_of(1), st.open_of(1));
-        assert_eq!(back.min_deadline, 5);
-        assert_eq!(back.min_earliest, 2);
+        assert_eq!((back.min_deadline, back.min_earliest), (5, 2));
         // Prediction off: every deadline is born warned, no watermark.
-        assert_eq!(back.up_warn, vec![WARNED; 2]);
-        assert_eq!(back.warn_watermark, u64::MAX);
+        assert_eq!(back.up_warn, vec![u64::NONE; 2]);
+        assert_eq!(back.warn_watermark, u64::NONE);
     }
 
     #[test]
     fn predictive_round_trip_preserves_warning_state() {
-        let plan = IntPlan::from_specs(&[spec(0, Some(5))]).unwrap();
-        let mut st = IntEngineState::new(1, plan.scale);
-        st.predict = true;
-        st.h_ticks = 2;
-        st.horizon = Some(Rat::from(2));
-        st.open_trigger(&plan, 0, 1, 10); // deadline 15, warn point 13
-        assert_eq!(st.up_warn, vec![13]);
-        assert_eq!(st.warn_watermark, 13);
-        let exact = st.to_exact();
-        assert_eq!(exact.horizon(), Some(Rat::from(2)));
-        let back = IntEngineState::from_exact(&plan, &exact).unwrap();
-        assert!(back.predict);
-        assert_eq!(back.h_ticks, 2);
-        assert_eq!(back.up_warn, vec![13]);
-        assert_eq!(back.warn_watermark, 13);
+        let rat = ints(&[(0, Some(5))]);
+        let plan = rat.to_ticks().unwrap();
+        let mut st = EngineState::new(1);
+        st.arm(&rat, Some(Rat::from(2)));
+        st.open_trigger(&rat, 0, 1, Rat::from(10)); // deadline 15, warn 13
+        assert_eq!(st.warn_watermark, Some(Rat::from(13)));
+        let int = st.rescale::<u64>(plan.scale).unwrap();
+        assert_eq!((int.h, int.horizon), (2, Some(Rat::from(2))));
+        assert_eq!((int.up_warn.clone(), int.warn_watermark), (vec![13], 13));
         // An off-grid horizon refuses the lift: the stream stays exact.
-        let mut off = exact.clone();
-        off.horizon = Some(Rat::new(1, 3));
-        assert!(IntEngineState::from_exact(&plan, &off).is_none());
+        st.arm(&rat, Some(Rat::new(1, 3)));
+        assert!(st.rescale::<u64>(plan.scale).is_none());
+    }
+
+    #[test]
+    fn arming_marks_passed_warning_points_warned() {
+        let rat = ints(&[(0, Some(10))]);
+        let mut st = EngineState::new(1);
+        st.open_trigger(&rat, 0, 1, Rat::from(2)); // deadline 12
+        st.last = Rat::from(10);
+        st.arm(&rat, Some(Rat::from(3))); // warn point 9 already passed
+        assert_eq!((st.up_warn[0], st.warn_watermark), (None, None));
+        st.arm(&rat, Some(Rat::ONE)); // warn point 11 still ahead
+        assert_eq!(st.warn_watermark, Some(Rat::from(11)));
     }
 }

@@ -12,10 +12,7 @@
 use tempo_ioa::{ClassId, Ioa};
 use tempo_math::Rat;
 
-use crate::engine::{
-    finish_specs_impl, step_specs_impl, CompiledConditionSet, CondSpec, EngineEvent, EngineImpl,
-    EngineState, EventClassification, IntEngineState, IntPlan,
-};
+use crate::engine::{CompiledConditionSet, EngineEvent, EnginePlan, EventClassification};
 use crate::{Timed, TimedSequence, TimingCondition};
 
 /// How to treat the (finite) sequence under test when checking upper
@@ -164,15 +161,12 @@ pub fn check_timed_execution<M: Ioa>(
     let aut = timed.automaton().as_ref();
     let b = timed.boundmap();
     let classes: Vec<ClassId> = aut.partition().ids().collect();
-    let specs: Vec<CondSpec> = classes
-        .iter()
-        .map(|&c| CondSpec {
-            lower: b.lower(c),
-            upper: b.upper(c).finite(),
-            // Definition 2.1's lower bound has no disabling escape.
-            lower_escape: false,
-        })
-        .collect();
+    // Definition 2.1's lower bound has no disabling escape.
+    let plan = EnginePlan::new(
+        classes
+            .iter()
+            .map(|&c| (b.lower(c), b.upper(c).finite(), false)),
+    );
 
     let fail = |aut: &M, ev: &EngineEvent| -> Option<Violation> {
         if let EngineEvent::Violated { ci, kind } = ev {
@@ -187,14 +181,12 @@ pub fn check_timed_execution<M: Ioa>(
 
     // Measurement points (the positions Definition 2.1 measures its
     // bounds from) become the engine's triggers: class `C` is triggered
-    // where it fires or first becomes enabled. Like the condition-set
-    // checkers, the fold runs on the integer backend when the boundmap
-    // lowers into the tick domain, exact otherwise.
-    let plan = IntPlan::from_specs(&specs);
-    let mut st = match &plan {
-        Some(p) => EngineImpl::Int(IntEngineState::new(classes.len(), p.scale)),
-        None => EngineImpl::Exact(EngineState::new(classes.len())),
-    };
+    // where it fires or first becomes enabled, and at the start state
+    // when enabled there. Like the condition-set checkers, the fold runs
+    // on ticks when the boundmap lowers onto a grid, exact otherwise.
+    let mut st = plan.start(classes.len(), |ci| {
+        aut.class_enabled(seq.first_state(), classes[ci])
+    });
     // Only violations are consumed here; skip the lifecycle log.
     st.set_log_lifecycle(false);
     let mut cls = EventClassification::new(classes.len());
@@ -212,46 +204,21 @@ pub fn check_timed_execution<M: Ioa>(
                 cls.set_trigger(ci);
             }
         }
-        // The start-state triggers open lazily, before the first step
-        // (the bare engine state cannot see the automaton).
-        if st.events_seen() == 0 {
-            for (ci, &class) in classes.iter().enumerate() {
-                if aut.class_enabled(seq.first_state(), class) {
-                    open_start_trigger(&specs, plan.as_ref(), &mut st, ci);
-                }
-            }
-        }
-        if let Some(v) = step_specs_impl(&specs, plan.as_ref(), &mut st, &cls, t, false)
+        if let Some(v) = plan
+            .step(&mut st, &cls, t, false)
             .iter()
             .find_map(|ev| fail(aut, ev))
         {
             return Err(v);
         }
     }
-    if st.events_seen() == 0 {
-        for (ci, &class) in classes.iter().enumerate() {
-            if aut.class_enabled(seq.first_state(), class) {
-                open_start_trigger(&specs, plan.as_ref(), &mut st, ci);
-            }
-        }
-    }
-    match finish_specs_impl(&specs, &mut st, mode)
+    match plan
+        .finish(&mut st, mode)
         .iter()
         .find_map(|ev| fail(aut, ev))
     {
         None => Ok(()),
         Some(v) => Err(v),
-    }
-}
-
-/// Opens the start-state (trigger 0, time 0) obligations of one class,
-/// on whichever backend the fold is running.
-fn open_start_trigger(specs: &[CondSpec], plan: Option<&IntPlan>, st: &mut EngineImpl, ci: usize) {
-    match st {
-        EngineImpl::Exact(est) => est.open_trigger(&specs[ci], ci, 0, Rat::ZERO),
-        EngineImpl::Int(ist) => {
-            ist.open_trigger(plan.expect("integer state requires a plan"), ci, 0, 0)
-        }
     }
 }
 

@@ -14,7 +14,7 @@
 //!   already-compiled
 //!   [`CompiledConditionSet`](tempo_core::engine::CompiledConditionSet))
 //!   and consumes `(action, time, state)` events, holding one engine
-//!   [`EngineState`](tempo_core::engine::EngineState) of open
+//!   [`EngineImpl`](tempo_core::engine::EngineImpl) of open
 //!   obligations (pending deadlines and un-elapsed lower-bound windows).
 //!   Each event costs `O(conditions + open obligations)`, independent of
 //!   the stream length; verdicts carry the same
@@ -28,10 +28,9 @@
 //!   to the horizon (the online reading of the paper's `Lt(U)`,
 //!   Section 3.1) and a [`Verdict::Forced`] when a trigger opens a
 //!   lower-bound window at least the horizon wide (the `Ft(U)` side).
-//!   Both backends of the compiled engine track warning points
-//!   natively, so prediction costs no second pass over the obligations.
-//!   [`Predictor`] remains as the standalone zone-based (DBM) reading
-//!   of the same `Lt(U)` quantity for symbolic use.
+//!   The compiled engine's stepper tracks warning points natively, in
+//!   either time domain, so prediction costs no second pass over the
+//!   obligations.
 //! * [`MonitorPool`] — shards many independent streams across worker
 //!   threads and a configurable [`OverloadPolicy`] (block / drop-oldest
 //!   / fail-stream). Ingestion is lock-free: each stream feeds its
@@ -76,7 +75,6 @@ mod event;
 mod metrics;
 mod monitor;
 mod pool;
-mod predict;
 pub mod replay;
 pub mod ring;
 #[cfg(feature = "serde")]
@@ -86,16 +84,15 @@ mod verdict;
 pub use event::Event;
 pub use metrics::{MetricsSnapshot, MonitorMetrics, StreamLag, StreamLagSnapshot, SLACK_BUCKETS};
 pub use monitor::{Monitor, SwapReport};
-// The obligation types moved into the shared condition engine
-// (`tempo_core::engine`) — re-exported here so downstream code keeps
-// its `tempo_monitor::{Obligation, ObligationKind, Resolution}` paths.
 pub use pool::{
     MonitorPool, OverloadPolicy, PoolConfig, PoolReport, ReloadReport, StreamHandle,
     StreamOverflow, StreamReport,
 };
-pub use predict::{Forced, Outcome, Predictor, Warning};
 pub use replay::{
     replay, replay_predictive, replay_predictive_full, replay_semi_satisfies, replay_verdicts,
 };
-pub use tempo_core::engine::{Obligation, ObligationKind, Resolution};
-pub use verdict::Verdict;
+// The obligation types live in the shared condition engine
+// (`tempo_core::engine`) — re-exported here so downstream code keeps
+// its `tempo_monitor::{Obligation, ObligationKind}` paths.
+pub use tempo_core::engine::{Obligation, ObligationKind};
+pub use verdict::{Forced, Verdict, Warning};

@@ -5,15 +5,13 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use tempo_core::engine::{
-    BackendChoice, CompiledConditionSet, EngineBackend, EngineEvent, EngineImpl, EngineState,
-    Obligation,
+    CompiledConditionSet, EngineBackend, EngineEvent, EngineImpl, EngineState, Obligation,
 };
 use tempo_core::{SatisfactionMode, TimingCondition, Violation};
 use tempo_math::Rat;
 
 use crate::metrics::{MetricsRef, MetricsShard, MonitorMetrics};
-use crate::predict::{Forced, Warning};
-use crate::verdict::Verdict;
+use crate::verdict::{Forced, Verdict, Warning};
 
 /// An online monitor for a set of timing conditions over one event
 /// stream — the incremental form of Definition 3.1 (semi-satisfaction).
@@ -21,7 +19,7 @@ use crate::verdict::Verdict;
 /// The monitor is a thin wrapper around the compiled condition engine
 /// ([`tempo_core::engine`]): it holds one
 /// [`CompiledConditionSet`] (shareable across streams) and one
-/// [`EngineState`], classifies each incoming event once, steps the
+/// [`EngineImpl`], classifies each incoming event once, steps the
 /// engine, and derives verdicts, metrics, and predictor warnings from
 /// the engine's event log. The offline checker
 /// ([`tempo_core::semi_satisfies`]) folds the *same* engine over a
@@ -56,9 +54,9 @@ pub struct Monitor<S, A> {
     /// The compiled conditions — shared, so a pool of monitors over the
     /// same condition set compiles it exactly once.
     set: Arc<CompiledConditionSet<S, A>>,
-    /// The engine's obligation state for this stream, on whichever
-    /// backend the compiled set selected (integer ticks when every
-    /// bound fits the tick domain, exact `Rat`s otherwise).
+    /// The engine's obligation state for this stream, in whichever time
+    /// domain its bounds and event times allow (integer ticks when every
+    /// bound and time fits the tick grid, exact `Rat`s otherwise).
     engine: EngineImpl,
     /// Post-state of the last event (initially the start state); the
     /// `pre` argument of `T_step` triggers.
@@ -70,9 +68,6 @@ pub struct Monitor<S, A> {
     /// prediction). The engine itself tracks the warning points; the
     /// monitor keeps the horizon to stamp it into report payloads.
     horizon: Option<Rat>,
-    /// The backend choice this monitor was built with, re-applied when
-    /// the engine state is re-adopted (predictor attach, hot swap).
-    choice: BackendChoice,
     /// Hot-counter sink: the shared base metrics for standalone
     /// monitors, or one pool worker's private shard.
     metrics: Option<MetricsRef>,
@@ -119,21 +114,7 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
     /// this is how [`MonitorPool`](crate::MonitorPool) workers build
     /// their per-stream monitors.
     pub fn from_compiled(set: Arc<CompiledConditionSet<S, A>>, start: &S) -> Monitor<S, A> {
-        Monitor::from_compiled_with(set, start, BackendChoice::default())
-    }
-
-    /// [`from_compiled`](Monitor::from_compiled) with an explicit engine
-    /// [`BackendChoice`]: [`BackendChoice::Auto`] (the default) runs the
-    /// monomorphized integer-time backend whenever the compiled set's
-    /// bounds fit its tick domain; [`BackendChoice::Exact`] pins exact
-    /// `Rat` arithmetic — the differential-oracle configuration.
-    /// Verdicts are identical either way.
-    pub fn from_compiled_with(
-        set: Arc<CompiledConditionSet<S, A>>,
-        start: &S,
-        backend: BackendChoice,
-    ) -> Monitor<S, A> {
-        let mut engine = set.start_engine_with(start, backend);
+        let mut engine = set.start_engine(start);
         // No metrics yet: nobody consumes obligation lifecycle events,
         // so keep them out of the per-event hot path. `with_metrics`
         // turns the log back on.
@@ -146,7 +127,6 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
             warnings: Vec::new(),
             forced: Vec::new(),
             horizon: None,
-            choice: backend,
             metrics: None,
         }
     }
@@ -215,13 +195,13 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
         if let Some(h) = horizon {
             assert!(!h.is_negative(), "the warning horizon must be nonnegative");
         }
-        // Adopt the snapshot onto the automatically selected backend:
-        // integer ticks when the set is int-capable and every open
-        // obligation (and the horizon) converts exactly, exact `Rat`s
-        // otherwise — so a snapshot round-trips across backends. The
-        // predictive adoption re-arms warning points from the compiled
-        // bounds, silently marking already-passed ones warned.
-        let mut engine = set.adopt_state_predictive(state, BackendChoice::default(), horizon);
+        // Adopt the snapshot onto integer ticks when the set is
+        // int-capable and every open obligation (and the horizon)
+        // converts exactly, exact `Rat`s otherwise — so a snapshot
+        // round-trips across domains. The predictive adoption re-arms
+        // warning points from the compiled bounds, silently marking
+        // already-passed ones warned.
+        let mut engine = set.adopt_state_predictive(state, horizon);
         // As in `from_compiled`: only log obligation lifecycle events
         // while someone (metrics) consumes them — prediction is native
         // to the engine and needs no lifecycle log.
@@ -234,7 +214,6 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
             warnings: Vec::new(),
             forced: Vec::new(),
             horizon,
-            choice: BackendChoice::default(),
             metrics: None,
         }
     }
@@ -275,15 +254,15 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
             "swap map must cover every current condition"
         );
         // Remapping works in the exact domain (the snapshot form); the
-        // remapped state is then adopted back onto whichever backend the
-        // *new* set selects — both conversions are lossless. The remap
+        // remapped state is then adopted back onto ticks if the *new*
+        // set's grid holds it — both conversions are lossless. The remap
         // carries the horizon and each obligation's warning state
         // verbatim, so prediction continues seamlessly: no re-arm, no
         // re-warn.
         let (remapped, dropped) = std::mem::take(&mut self.engine)
             .into_exact()
             .remap(map, new.len());
-        self.engine = new.adopt_state(remapped, self.choice);
+        self.engine = new.adopt_state(remapped);
         self.engine.set_log_lifecycle(self.metrics.is_some());
         if let Some(m) = &self.metrics {
             for _ in &dropped {
@@ -330,9 +309,9 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
     /// obligation unresolved) *and* every qualifying lower window
     /// (`Ft(U)` — a [`Verdict::Forced`] at the trigger whose window is
     /// at least `horizon` wide; see the paper's Section 3.1 for the
-    /// symmetric `time(A, U)` construction both are read from). Both
-    /// backends predict natively; quiescent events stay on the integer
-    /// backend's watermark fast path.
+    /// symmetric `time(A, U)` construction both are read from). The
+    /// stepper predicts natively in both time domains; quiescent events
+    /// stay on its watermark fast path.
     ///
     /// Deadline obligations already opened by the start-state trigger
     /// are armed retroactively. (Start-state lower windows predate the
@@ -385,9 +364,7 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
         // carries the horizon from here on. Prediction is native — no
         // lifecycle logging needed; metrics alone decide that.
         let snapshot = self.engine.snapshot();
-        self.engine = self
-            .set
-            .adopt_state_predictive(snapshot, self.choice, Some(horizon));
+        self.engine = self.set.adopt_state_predictive(snapshot, Some(horizon));
         self.engine.set_log_lifecycle(self.metrics.is_some());
         self.horizon = Some(horizon);
         self
@@ -637,7 +614,7 @@ impl<S, A> Monitor<S, A> {
 
     /// The minimum remaining slack over every open deadline — the
     /// stream's distance to its nearest `Lt` expiry, read straight off
-    /// the engine (O(1) on the integer backend). `None` without a
+    /// the engine's deadline watermark (O(1)). `None` without a
     /// predictor or when no deadline is open.
     pub fn min_slack(&self) -> Option<Rat> {
         self.horizon?;
@@ -673,20 +650,20 @@ impl<S, A> Monitor<S, A> {
 
     /// A snapshot of the engine's obligation state — the monitor's whole
     /// resumable position in the stream, always materialized as the
-    /// exact [`EngineState`] regardless of the running backend (the
-    /// integer backend's tick-to-rational conversion is lossless).
+    /// exact [`EngineState`] whatever the running time domain (the
+    /// tick-to-rational conversion is lossless).
     /// Serialize it (with the `serde` feature of `tempo-core`) and hand
     /// it to [`Monitor::resume`]/[`Monitor::resume_compiled`] to
     /// continue the stream later, or in another process; resume
-    /// re-selects the backend, so snapshots round-trip across backends.
+    /// re-selects the domain, so snapshots round-trip across domains.
     pub fn engine_state(&self) -> EngineState {
         self.engine.snapshot()
     }
 
-    /// Which engine backend this stream is currently running on. A
-    /// stream that started on [`EngineBackend::Int`] reports
+    /// Which time domain this stream's engine is currently running in.
+    /// A stream that started on [`EngineBackend::Int`] reports
     /// [`EngineBackend::Exact`] after an event time outside its tick
-    /// domain spilled it to exact arithmetic (verdicts are unaffected).
+    /// grid moved it to exact arithmetic (verdicts are unaffected).
     pub fn backend(&self) -> EngineBackend {
         self.engine.backend()
     }

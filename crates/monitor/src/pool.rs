@@ -40,14 +40,14 @@ use std::time::Duration;
 use tempo_core::{SatisfactionMode, TimingCondition, Violation};
 use tempo_math::Rat;
 
-use tempo_core::engine::{BackendChoice, CompiledConditionSet, Obligation};
+use tempo_core::engine::{CompiledConditionSet, Obligation};
 use tempo_spec::SpecRevision;
 
 use crate::event::Event;
 use crate::metrics::{MetricsShard, MetricsSnapshot, MonitorMetrics, StreamLag};
 use crate::monitor::Monitor;
-use crate::predict::{Forced, Warning};
 use crate::ring::{self, Consumer, Producer};
+use crate::verdict::{Forced, Warning};
 
 /// What [`StreamHandle::send`] does when the stream's queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,13 +99,6 @@ pub struct PoolConfig {
     /// trimming tail latency under backpressure. Clamped to at least 1
     /// by [`validated`](PoolConfig::validated).
     pub drain_batch: usize,
-    /// Which engine backend every stream's monitor runs
-    /// ([`BackendChoice::Auto`] by default: the integer-tick engine
-    /// when the compiled set's bounds fit a common tick grid, the
-    /// exact-rational engine otherwise). Set
-    /// [`BackendChoice::Exact`] to pin the exact engine, e.g. as the
-    /// differential oracle when benchmarking the integer backend.
-    pub backend: BackendChoice,
 }
 
 impl Default for PoolConfig {
@@ -117,7 +110,6 @@ impl Default for PoolConfig {
             mode: SatisfactionMode::Prefix,
             horizon: None,
             drain_batch: 1024,
-            backend: BackendChoice::Auto,
         }
     }
 }
@@ -692,17 +684,8 @@ where
             let mode = config.mode;
             let horizon = config.horizon;
             let drain_batch = config.drain_batch;
-            let backend = config.backend;
             workers.push(thread::spawn(move || {
-                worker_loop(
-                    &worker_ws,
-                    &set,
-                    &shard,
-                    mode,
-                    horizon,
-                    drain_batch,
-                    backend,
-                )
+                worker_loop(&worker_ws, &set, &shard, mode, horizon, drain_batch)
             }));
             shared.push(ws);
         }
@@ -929,7 +912,6 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
     mode: SatisfactionMode,
     horizon: Option<Rat>,
     drain_batch: usize,
-    backend: BackendChoice,
 ) {
     shared
         .thread
@@ -970,7 +952,7 @@ fn worker_loop<S: Clone, A: Clone + Eq + Hash>(
             .collect();
         let mut any = false;
         for nc in adopted {
-            let mut mon = Monitor::from_compiled_with(Arc::clone(set), &nc.start, backend)
+            let mut mon = Monitor::from_compiled(Arc::clone(set), &nc.start)
                 .with_metrics_shard(Arc::clone(shard));
             if let Some(h) = horizon {
                 mon = mon.with_predictor(h);

@@ -13,8 +13,7 @@ use tempo_core::{SatisfactionMode, TimedSequence, TimingCondition, Violation};
 use tempo_math::Rat;
 
 use crate::monitor::Monitor;
-use crate::predict::{Forced, Warning};
-use crate::verdict::Verdict;
+use crate::verdict::{Forced, Verdict, Warning};
 
 /// Feeds every event of `seq` through a fresh monitor for `conds` and
 /// returns all violations, closing the stream in `mode`.

@@ -20,8 +20,7 @@ use tempo_math::Rat;
 
 use crate::metrics::{MetricsSnapshot, StreamLagSnapshot, SLACK_BUCKETS};
 use crate::pool::{PoolReport, StreamReport};
-use crate::predict::{Forced, Warning};
-use crate::verdict::Verdict;
+use crate::verdict::{Forced, Verdict, Warning};
 
 fn hist_from_vec<E: DeError>(v: Vec<u64>, what: &str) -> Result<[u64; SLACK_BUCKETS], E> {
     let len = v.len();

@@ -1,8 +1,109 @@
-//! Per-event verdicts emitted by the monitor.
+//! Per-event verdicts emitted by the monitor, and the predictive
+//! payloads they carry ([`Warning`], [`Forced`]).
+//!
+//! The monitor alone reports a timing violation only *at* the event
+//! that makes it definite; the paper's whole point (Section 3.1) is that
+//! the predictive components `Ft(U)`/`Lt(U)` of `time(A, U)` let you
+//! reason about deadlines *before* they expire. The engine tracks both
+//! natively (see
+//! [`Monitor::with_predictor`](crate::Monitor::with_predictor)) and the
+//! monitor surfaces them as [`Warning`]s and [`Forced`] windows.
+
+use std::fmt;
+use std::sync::Arc;
 
 use tempo_core::{Violation, ViolationKind};
+use tempo_math::Rat;
 
-use crate::predict::{Forced, Warning};
+/// An early warning: an open deadline obligation entered its warning
+/// window (its remaining slack dropped to at most the configured
+/// horizon) before being served.
+///
+/// Warnings are *predictions*, not verdicts: a warned obligation may
+/// still be discharged in time (a near miss) or may go on to become an
+/// [`UpperBound`](tempo_core::ViolationKind::UpperBound) violation. The
+/// engine guarantees the warning is reported before the violation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Warning {
+    /// Name of the condition whose deadline is at risk — shared with
+    /// the engine's interned name table, so constructing a warning
+    /// never allocates a fresh string.
+    pub condition: Arc<str>,
+    /// Index of the condition in its compiled set — the stable interned
+    /// id (names are for humans; indices key the engine tables).
+    pub condition_index: usize,
+    /// Index of the trigger that opened the obligation (0 = start-state
+    /// trigger, `i ≥ 1` = step trigger at event `i`), matching
+    /// [`ViolationKind`](tempo_core::ViolationKind) trigger indices.
+    pub trigger_index: usize,
+    /// The absolute deadline `t_i + b_u` at risk.
+    pub deadline: Rat,
+    /// The warning point `max(deadline − horizon, t_i)`: the stream time
+    /// at which the obligation entered its warning window.
+    pub at: Rat,
+    /// Remaining slack at the warning point: `deadline − at`, i.e.
+    /// `min(horizon, b_u)`.
+    pub slack: Rat,
+    /// The horizon the predictor was configured with.
+    pub horizon: Rat,
+}
+
+impl fmt::Display for Warning {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: deadline {} (trigger {}) within {} at t = {}",
+            self.condition, self.deadline, self.trigger_index, self.slack, self.at
+        )
+    }
+}
+
+/// A forced window: the `Ft(U)` half of the paper's `time(A, U)`
+/// construction. A trigger opened a lower-bound window wide enough to
+/// clear the prediction horizon, so the monitor knows — the moment the
+/// trigger fires — that the condition's `Π`-action *cannot legally
+/// occur* before [`earliest`](Forced::earliest): the action is forced
+/// to stay away at least [`margin`](Forced::margin) time units.
+///
+/// Like a [`Warning`], a forced window is a prediction about legal
+/// futures, not a verdict: verdicts stay
+/// [`is_ok`](crate::Verdict::is_ok). It is reported exactly once, at
+/// the event that opens the window, and only when `margin ≥ horizon`
+/// (with a zero horizon nothing is ever reported).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Forced {
+    /// Name of the condition whose window is forced — shared with the
+    /// engine's interned name table (no per-report allocation).
+    pub condition: Arc<str>,
+    /// Index of the condition in its compiled set.
+    pub condition_index: usize,
+    /// Human-readable label of the condition's `Π` action set — the
+    /// action(s) that cannot legally occur inside the window.
+    pub action: Arc<str>,
+    /// Index of the trigger that opened the window (same convention as
+    /// [`Warning::trigger_index`]).
+    pub trigger_index: usize,
+    /// The earliest legal occurrence `Ft = t_i + b_l`: a `Π`-event
+    /// strictly before this time would be a lower-bound violation.
+    pub earliest: Rat,
+    /// The trigger time `t_i` at which the window was reported.
+    pub at: Rat,
+    /// The window width `b_l = earliest − at` — how long the action is
+    /// forced to stay away, always `≥ horizon`.
+    pub margin: Rat,
+    /// The horizon the prediction was configured with.
+    pub horizon: Rat,
+}
+
+impl fmt::Display for Forced {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: {} forced out until {} (trigger {}, margin {}) at t = {}",
+            self.condition, self.action, self.earliest, self.trigger_index, self.margin, self.at
+        )
+    }
+}
 
 /// The monitor's judgement after consuming one event (or finishing a
 /// stream): everything is still consistent with the conditions, a

@@ -142,12 +142,12 @@ pub fn check(spec: &Spec) -> Vec<Diagnostic> {
         }
     }
 
-    // Whether the bounds admit a common u64 tick grid decides which
-    // engine backend `Auto` picks at compile time (see tempo-core's
-    // `BackendChoice`): every shipped spec is expected to take the
-    // integer fast path, so losing it — usually to one outsized bound
-    // whose scaled value overflows u64 — is worth a lint even though
-    // the spec still compiles and runs on the exact-rational engine.
+    // Whether the bounds admit a common u64 tick grid decides which time
+    // domain the engine's stepper starts streams in (see tempo-core's
+    // `CompiledConditionSet::int_capable`): every shipped spec is
+    // expected to run on ticks, so losing them — usually to one
+    // outsized bound whose scaled value overflows u64 — is worth a lint
+    // even though the spec still compiles and runs on exact rationals.
     let bound_vals: Vec<(Rat, Span)> = spec
         .conds
         .iter()

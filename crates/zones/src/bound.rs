@@ -49,9 +49,7 @@ impl DbmBound {
     }
 
     /// Translates the bound by a constant: `x − y ≺ c` becomes
-    /// `x − y ≺ c + d`, preserving strictness; `∞` is unaffected. Used by
-    /// [`Dbm::shift`](crate::Dbm::shift) to elapse an exact amount of
-    /// time.
+    /// `x − y ≺ c + d`, preserving strictness; `∞` is unaffected.
     pub fn add_const(self, d: Rat) -> DbmBound {
         match self {
             DbmBound::Strict(c) => DbmBound::Strict(c + d),

@@ -127,38 +127,6 @@ impl Dbm {
         }
     }
 
-    /// Exact time elapse: advances every clock by exactly `dt` (the
-    /// bounded counterpart of [`up`], which elapses an arbitrary amount).
-    /// Only the reference row and column move — differences between
-    /// clocks are invariant under uniform delay — so the cost is
-    /// `O(clocks)`, not the `O(clocks³)` of a re-canonicalization, and
-    /// canonical form is preserved (every path through clock 0 shifts by
-    /// `+dt − dt = 0`).
-    ///
-    /// This is the online predictor's per-event step: a stream that was
-    /// last observed at time `t` and sees its next event at `t + dt`
-    /// advances its prediction zone by exactly `dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is negative (time never flows backwards).
-    ///
-    /// [`up`]: Dbm::up
-    pub fn shift(&mut self, dt: Rat) {
-        assert!(!dt.is_negative(), "cannot shift a zone by negative time");
-        if dt.is_zero() || self.is_empty() {
-            return;
-        }
-        for i in 1..self.dim {
-            // x_i − x_0 ≺ c becomes ≺ c + dt …
-            let upper = self.at(i, 0);
-            self.set(i, 0, upper.add_const(dt));
-            // … and x_0 − x_i ≺ c becomes ≺ c − dt.
-            let lower = self.at(0, i);
-            self.set(0, i, lower.add_const(-dt));
-        }
-    }
-
     /// Resets clock `i` to 0.
     pub fn reset(&mut self, clock: usize) {
         assert!(
@@ -214,34 +182,12 @@ impl Dbm {
         }
     }
 
-    /// The supremum of clock `i` in the zone (`∞` if unbounded). Whether
-    /// the supremum is attained depends on strictness; callers comparing
-    /// against closed intervals may also want [`clock_max_strict`].
-    ///
-    /// [`clock_max_strict`]: Dbm::clock_max_strict
+    /// The supremum of clock `i` in the zone (`∞` if unbounded).
     pub fn clock_max(&self, clock: usize) -> TimeVal {
         match self.at(clock, 0).value() {
             Some(c) => TimeVal::from(c),
             None => TimeVal::INFINITY,
         }
-    }
-
-    /// Returns `true` if the supremum of clock `i` is *not* attained (the
-    /// bound is strict).
-    pub fn clock_max_strict(&self, clock: usize) -> bool {
-        self.at(clock, 0).is_strict()
-    }
-
-    /// The lower residual of clock `i` against `bound`: how much time
-    /// must still elapse, from the zone's earliest reading of the clock,
-    /// before the clock can reach `bound` — `max(bound − min(x_i), 0)`.
-    ///
-    /// With clock `i` measuring "time since condition `C`'s trigger" and
-    /// `bound = b_l` the condition's lower bound, this is the paper's
-    /// `Ft(U)` residual: how long `C`'s `Π`-action remains forced out of
-    /// the legal window (zero once the window has opened).
-    pub fn lower_residual(&self, clock: usize, bound: Rat) -> Rat {
-        (bound - self.clock_min(clock)).max(Rat::ZERO)
     }
 
     /// Per-clock max-constant extrapolation (ExtraM): bounds above `k_i`
@@ -304,19 +250,6 @@ mod tests {
 
     fn r(v: i64) -> Rat {
         Rat::from(v)
-    }
-
-    #[test]
-    fn lower_residual_counts_down_to_the_bound() {
-        // Clock 1 starts at 0; the window's lower bound is 5.
-        let mut z = Dbm::zero(1);
-        assert_eq!(z.lower_residual(1, r(5)), r(5));
-        // 3 time units later, 2 remain.
-        z.shift(r(3));
-        assert_eq!(z.lower_residual(1, r(5)), r(2));
-        // Past the bound the residual clamps to zero.
-        z.shift(r(4));
-        assert_eq!(z.lower_residual(1, r(5)), r(0));
     }
 
     #[test]
@@ -398,7 +331,7 @@ mod tests {
         assert!(z.contains(&[Rat::new(29, 10)]));
         assert!(!z.contains(&[r(3)]));
         assert_eq!(z.clock_max(1), TimeVal::from(r(3)));
-        assert!(z.clock_max_strict(1));
+        assert!(z.bound(1, 0).is_strict(), "the supremum 3 is not attained");
     }
 
     #[test]
@@ -411,64 +344,6 @@ mod tests {
         assert_eq!(z.clock_max(1), TimeVal::from(r(4)));
         // Clock 2 equals clock 1 here (never reset since zero).
         assert_eq!(z.clock_min(2), r(1));
-    }
-
-    #[test]
-    fn shift_advances_every_clock_exactly() {
-        let mut z = Dbm::zero(2);
-        z.shift(r(3));
-        assert!(z.contains(&[r(3), r(3)]));
-        assert!(!z.contains(&[r(3), r(4)]));
-        assert!(!z.contains(&[r(2), r(2)]));
-        assert_eq!(z.clock_min(1), r(3));
-        assert_eq!(z.clock_max(1), TimeVal::from(r(3)));
-        // Shifting composes additively.
-        z.shift(Rat::new(1, 2));
-        assert_eq!(z.clock_min(1), Rat::new(7, 2));
-    }
-
-    #[test]
-    fn shift_preserves_differences_and_canonical_form() {
-        let mut z = Dbm::zero(2);
-        z.up();
-        z.and_lower(1, r(2), false);
-        z.and_upper(1, r(4), false);
-        z.reset(2);
-        let d12 = z.bound(1, 2);
-        let d21 = z.bound(2, 1);
-        z.shift(r(5));
-        // Clock differences are invariant under uniform delay.
-        assert_eq!(z.bound(1, 2), d12);
-        assert_eq!(z.bound(2, 1), d21);
-        // Bounds against the reference clock moved by exactly 5.
-        assert_eq!(z.clock_min(1), r(7));
-        assert_eq!(z.clock_max(1), TimeVal::from(r(9)));
-        // Still canonical: closure is a no-op.
-        let before = z.clone();
-        z.canonicalize();
-        assert_eq!(z, before);
-    }
-
-    #[test]
-    fn shift_by_zero_is_identity_and_empty_is_stable() {
-        let mut z = Dbm::zero(1);
-        z.up();
-        z.and_upper(1, r(3), false);
-        let before = z.clone();
-        z.shift(r(0));
-        assert_eq!(z, before);
-        let mut empty = Dbm::zero(1);
-        empty.and_lower(1, r(1), false); // zero zone ∩ x ≥ 1 = ∅
-        assert!(empty.is_empty());
-        empty.shift(r(2));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "negative time")]
-    fn shift_backwards_panics() {
-        let mut z = Dbm::zero(1);
-        z.shift(r(-1));
     }
 
     #[test]

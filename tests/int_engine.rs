@@ -1,13 +1,18 @@
-//! Integration tests for the integer-tick engine backend: backend
-//! auto-selection over the Rat→u64 scaling edge cases (denominator-1
-//! fast path, mixed finite/infinite bounds, LCM overflow), mid-stream
-//! spill back to the exact engine when an event time leaves the tick
-//! grid, snapshot/resume round trips across backends, and the shipped
-//! `.tspec` systems all taking the fast path.
+//! Integration tests for the stepper's tick domain: domain selection
+//! over the Rat→u64 scaling edge cases (denominator-1 fast path, mixed
+//! finite/infinite bounds, LCM overflow), the mid-stream move to `Rat`
+//! when an event time leaves the tick grid, snapshot/resume round trips
+//! across domains, and the shipped `.tspec` systems all running on
+//! ticks. The `Rat` side of each comparison is the same conditions
+//! compiled beside two off-grid ones (`support::oracle::off_grid`).
+
+#[path = "support/mod.rs"]
+mod support;
 
 use std::sync::Arc;
 
-use tempo_core::engine::{BackendChoice, CompiledConditionSet, EngineBackend};
+use support::oracle::off_grid;
+use tempo_core::engine::{CompiledConditionSet, EngineBackend};
 use tempo_core::{ActionSet, SatisfactionMode, TimedSequence, TimingCondition, Violation};
 use tempo_math::{Interval, Rat, TimeVal};
 use tempo_monitor::Monitor;
@@ -44,14 +49,18 @@ fn sorted(vs: &[Violation]) -> Vec<String> {
     keys
 }
 
-/// Runs a monitor over `events` under the given backend choice and
-/// returns its Complete-mode violations.
-fn run_monitor(
-    set: &Arc<CompiledConditionSet<u32, u32>>,
-    events: &[(u32, Rat)],
-    choice: BackendChoice,
-) -> Vec<Violation> {
-    let mut mon = Monitor::from_compiled_with(Arc::clone(set), &START, choice);
+/// The same conditions, compiled off every tick grid: streams over it
+/// run on exact `Rat`s from the start.
+fn exact_twin(set: &CompiledConditionSet<u32, u32>) -> Arc<CompiledConditionSet<u32, u32>> {
+    let exact = CompiledConditionSet::new(&off_grid(set.conditions()));
+    assert_eq!(exact.backend(), EngineBackend::Exact);
+    Arc::new(exact)
+}
+
+/// Runs a monitor over `events` and returns its Complete-mode
+/// violations.
+fn run_monitor(set: &Arc<CompiledConditionSet<u32, u32>>, events: &[(u32, Rat)]) -> Vec<Violation> {
+    let mut mon = Monitor::from_compiled(Arc::clone(set), &START);
     for &(a, t) in events {
         mon.observe(&a, t, &a);
     }
@@ -69,8 +78,8 @@ fn integral_bounds_take_the_denominator_1_fast_path() {
     let set = Arc::new(set);
     let auto = Monitor::from_compiled(Arc::clone(&set), &START);
     assert_eq!(auto.backend(), EngineBackend::Int);
-    // Pinning the exact engine always wins over auto-selection.
-    let exact = Monitor::from_compiled_with(Arc::clone(&set), &START, BackendChoice::Exact);
+    // One off-grid condition beside them keeps the whole set exact.
+    let exact = Monitor::from_compiled(exact_twin(&set), &START);
     assert_eq!(exact.backend(), EngineBackend::Exact);
 }
 
@@ -127,9 +136,10 @@ fn fold_backends_agree_on_verdicts() {
         (TRIGGER, Rat::from(3)),
         (SERVE + 1, Rat::from(10)),
     ]);
+    let exact_set = exact_twin(&set);
     for mode in [SatisfactionMode::Prefix, SatisfactionMode::Complete] {
         let int = set.fold_sequence(&trace, mode);
-        let exact = set.fold_sequence_with(&trace, mode, BackendChoice::Exact);
+        let exact = exact_set.fold_sequence(&trace, mode);
         assert_eq!(sorted(&int), sorted(&exact), "mode {mode:?}");
     }
 }
@@ -159,7 +169,7 @@ fn off_grid_event_time_spills_to_exact_mid_stream() {
     mon.observe(&(SERVE + 1), Rat::from(9), &(SERVE + 1));
     let spilled = mon.finish(SatisfactionMode::Complete);
 
-    let oracle = run_monitor(&set, &trace, BackendChoice::Exact);
+    let oracle = run_monitor(&exact_twin(&set), &trace);
     assert_eq!(sorted(&spilled), sorted(&oracle));
     assert!(!spilled.is_empty(), "the warped trace must violate");
 }
@@ -181,7 +191,7 @@ fn overflowing_event_time_spills_to_exact() {
     mon.observe(&TRIGGER, huge, &TRIGGER);
     assert_eq!(mon.backend(), EngineBackend::Exact);
     let spilled = mon.finish(SatisfactionMode::Complete);
-    let oracle = run_monitor(&set, &trace, BackendChoice::Exact);
+    let oracle = run_monitor(&exact_twin(&set), &trace);
     assert_eq!(sorted(&spilled), sorted(&oracle));
 }
 
@@ -196,8 +206,8 @@ fn snapshot_resumes_onto_the_int_backend() {
     assert_eq!(prefix.backend(), EngineBackend::Int);
     assert_eq!(prefix.open_obligations(), 3);
 
-    // The snapshot is backend-agnostic (exact `EngineState`), survives
-    // serde, and resuming converts it back onto the int engine.
+    // The snapshot is domain-agnostic (exact `EngineState`), survives
+    // serde, and resuming converts it back onto ticks.
     let json = serde_json::to_string(&prefix.engine_state()).unwrap();
     let state = serde_json::from_str(&json).unwrap();
     let mut resumed = Monitor::resume_compiled(Arc::clone(&set), state, &TRIGGER, None);

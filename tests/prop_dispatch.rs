@@ -11,9 +11,15 @@
 //!
 //! States are `u32` and each event's post-state equals its action, so an
 //! opaque *state*-based disabling closure can mirror a declarative
-//! *action*-based disabling set exactly.
+//! *action*-based disabling set exactly. Every compilation is also held
+//! to the independent naive reference checker (`support/reference.rs`).
+
+#[path = "support/mod.rs"]
+mod support;
 
 use proptest::prelude::*;
+use support::oracle::{check_engine, check_violations};
+use support::reference::Reference;
 use tempo_core::engine::{CompiledConditionSet, EventClassification};
 use tempo_core::{ActionSet, SatisfactionMode, TimedSequence, TimingCondition, Violation};
 use tempo_math::{Interval, Rat};
@@ -140,11 +146,19 @@ fn trace() -> impl Strategy<Value = Vec<(u32, i64)>> {
 }
 
 fn to_sequence(events: &[(u32, i64)]) -> TimedSequence<u32, u32> {
+    to_sequence_spilling(events, events.len())
+}
+
+/// [`to_sequence`] with every time after the first `spill` events
+/// shifted by 1/3 off the unit tick grid, moving the stream from ticks
+/// to `Rat` at event `spill + 1`.
+fn to_sequence_spilling(events: &[(u32, i64)], spill: usize) -> TimedSequence<u32, u32> {
     let mut seq = TimedSequence::new(START);
     let mut t = 0i64;
-    for &(a, dt) in events {
+    for (j, &(a, dt)) in events.iter().enumerate() {
         t += dt;
-        seq.push(a, Rat::from(t), a);
+        let shift = if j < spill { Rat::ZERO } else { Rat::new(1, 3) };
+        seq.push(a, Rat::from(t) + shift, a);
     }
     seq
 }
@@ -261,17 +275,26 @@ proptest! {
             // And with the monitors' fused path against the eager
             // classify-then-step fold.
             prop_assert_eq!(&want, &sorted(&o_vs), "mode {:?}", mode);
+
+            // Every compilation says what the definitions say.
+            let reference = Reference::new(mode == SatisfactionMode::Prefix).run(&seq, &opaq);
+            for set in [&o_set, &d_set, &m_set] {
+                check_violations(set, &set.fold_sequence(&seq, mode), &reference)?;
+            }
         }
     }
 
-    /// The eager classify-then-step path and the fused step_event path
-    /// produce identical engine states on the declarative compilation.
+    /// The eager classify-then-step path and the fused step path
+    /// produce identical engine logs and states on the declarative
+    /// compilation — on ticks, and after the stream moves to `Rat` at a
+    /// random prefix — and the fused path agrees with the reference.
     #[test]
     fn classify_step_matches_step_event(
         specs in proptest::collection::vec(cond_spec(), 1..5),
         events in trace(),
+        spill in 0usize..24,
     ) {
-        let seq = to_sequence(&events);
+        let seq = to_sequence_spilling(&events, spill);
         let conds: Vec<_> = specs
             .iter()
             .enumerate()
@@ -279,23 +302,28 @@ proptest! {
             .collect();
         let set = CompiledConditionSet::new(&conds);
 
-        let mut fused = set.start(seq.first_state());
-        let mut eager = set.start(seq.first_state());
+        let mut fused = set.start_engine(seq.first_state());
+        let mut eager = set.start_engine(seq.first_state());
         let mut cls = EventClassification::new(set.len());
         for (pre, a, t, post) in seq.step_triples() {
             let logged: Vec<String> = set
-                .step_event(&mut fused, pre, a, post, t)
+                .step_engine(&mut fused, pre, a, post, t)
                 .iter()
                 .map(|e| format!("{e:?}"))
                 .collect();
             set.classify(pre, a, post, &mut cls);
             let eager_log: Vec<String> = set
-                .step(&mut eager, &cls, t)
+                .step_classified(&mut eager, &cls, t)
                 .iter()
                 .map(|e| format!("{e:?}"))
                 .collect();
             prop_assert_eq!(&logged, &eager_log);
             prop_assert_eq!(fused.open_obligations(), eager.open_obligations());
+            prop_assert_eq!(fused.backend(), eager.backend());
+        }
+        for prefix in [true, false] {
+            let want = Reference::new(prefix).run(&seq, &conds);
+            check_engine(&set, set.start_engine(seq.first_state()), &seq, prefix, &want)?;
         }
     }
 }

@@ -3,11 +3,18 @@
 //! [`CompiledConditionSet::fold_sequence`] are three views over the same
 //! engine, so on random traces — valid simulated runs and time-warped
 //! (possibly violating) variants — they must report identical violation
-//! sets, with and without a predictor attached. A zone-graph oracle
-//! cross-check closes the loop from the symbolic side: conditions the
+//! sets, with and without a predictor attached. All of them are held to
+//! the independent naive reference checker (`support/reference.rs`),
+//! pointwise and in discovery order. A zone-graph oracle cross-check
+//! closes the loop from the symbolic side: conditions the
 //! [`ZoneChecker`] verifies never trip the engine on valid runs.
 
+#[path = "support/mod.rs"]
+mod support;
+
 use proptest::prelude::*;
+use support::oracle::{check_monitor, check_violations};
+use support::reference::Reference;
 use tempo_core::engine::CompiledConditionSet;
 use tempo_core::{
     dummify, project, time_ab, undum, violations, RandomScheduler, SatisfactionMode, TimedSequence,
@@ -57,7 +64,8 @@ fn sorted(vs: &[Violation]) -> Vec<String> {
 }
 
 /// The tentpole invariant: all three consumers of the engine — and the
-/// monitor again with a predictor attached — agree exactly.
+/// monitor again with a predictor attached — agree exactly, and with the
+/// reference checker.
 fn assert_three_way<S, A>(
     seq: &TimedSequence<S, A>,
     conds: &[TimingCondition<S, A>],
@@ -92,6 +100,12 @@ where
             "monitor with predictor, mode {:?}",
             mode
         );
+
+        let prefix = mode == SatisfactionMode::Prefix;
+        check_violations(&set, &fold, &Reference::new(prefix).run(seq, conds))?;
+        let reference = Reference::new(prefix).horizon(Rat::ONE).run(seq, conds);
+        let mon = Monitor::new(conds, seq.first_state()).with_predictor(Rat::ONE);
+        check_monitor(mon, seq, prefix, &reference)?;
     }
     Ok(())
 }

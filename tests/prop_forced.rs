@@ -7,9 +7,17 @@
 //! that trigger; (2) every reported window is at least the horizon wide
 //! and internally consistent (`earliest = at + margin`, no duplicate
 //! identity); (3) **horizon-0 silence** — with a zero horizon no forced
-//! window is ever reported, on any trace.
+//! window is ever reported, on any trace; (4) every reported window,
+//! warning and violation is exactly what the independent naive reference
+//! checker (`support/reference.rs`) derives from the definitions.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use proptest::prelude::*;
+use support::oracle::{check_predictions, check_violations};
+use support::reference::Reference;
+use tempo_core::engine::CompiledConditionSet;
 use tempo_core::{ActionSet, SatisfactionMode, TimedSequence, TimingCondition, ViolationKind};
 use tempo_math::{Interval, Rat};
 use tempo_monitor::replay_predictive_full;
@@ -94,8 +102,11 @@ proptest! {
             .collect();
         let seq = to_sequence(&events);
         let horizon = Rat::from(h);
-        let (violations, _warnings, forced) =
+        let (violations, warnings, forced) =
             replay_predictive_full(&seq, &conds, SatisfactionMode::Prefix, horizon);
+        let want = Reference::new(true).horizon(horizon).run(&seq, &conds);
+        check_violations(&CompiledConditionSet::new(&conds), &violations, &want)?;
+        check_predictions(&warnings, &forced, &want)?;
         for fw in &forced {
             // Internal consistency of the report.
             prop_assert!(fw.margin >= horizon, "margin below horizon: {fw:?}");

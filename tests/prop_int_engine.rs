@@ -1,17 +1,28 @@
-//! Differential property net for the integer-tick engine: on arbitrary
-//! condition sets whose bounds fit a tick grid, the int backend and the
-//! exact-rational backend must be **pointwise equal** — same violation
-//! lists from [`CompiledConditionSet::fold_sequence`], same per-event
-//! monitor verdict stream, in both satisfaction modes. Traces include
-//! off-grid event times on purpose, so the mid-stream spill from int to
-//! exact is exercised under random schedules, not just by hand-picked
-//! cases.
+//! Differential property net for the obligation stepper in both of its
+//! time domains, with the naive reference checker
+//! (`support/reference.rs`) as the oracle: on arbitrary condition sets
+//! whose bounds fit a tick grid, the engine log, the open obligations
+//! and `min_deadline` after every event, the per-event monitor verdicts
+//! and findings, and the offline fold all agree with the reference
+//! **pointwise** — in both satisfaction modes, with and without a
+//! prediction horizon.
+//!
+//! The `Rat` domain is reached two ways: event times shifted off the
+//! unit grid after a random prefix (including prefix 0), which moves a
+//! tick stream to `Rat` mid-stream, and the same conditions compiled
+//! alongside two off-grid ones, which keeps the set off every tick grid
+//! from the start.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tempo_core::engine::{BackendChoice, CompiledConditionSet, EngineBackend};
-use tempo_core::{ActionSet, SatisfactionMode, TimedSequence, TimingCondition, Violation};
+use support::oracle::{check_engine, check_monitor, check_violations, mode, off_grid};
+use support::reference::Reference;
+use tempo_core::engine::{CompiledConditionSet, EngineBackend};
+use tempo_core::{ActionSet, TimedSequence, TimingCondition};
 use tempo_math::{Interval, Rat};
 use tempo_monitor::Monitor;
 
@@ -72,115 +83,114 @@ fn cond_spec() -> impl Strategy<Value = CondSpec> {
         )
 }
 
-/// A trace of `(action, dt)` steps. `dt` is in **quarters** of a time
-/// unit: integral-bound sets get a unit tick grid, so roughly three in
-/// four event times land off grid and drive the monitor through the
-/// spill path at a random prefix.
-fn trace(quarters: bool) -> impl Strategy<Value = Vec<(u32, i64)>> {
-    let step = if quarters { 0i64..=9 } else { 0i64..=2 };
-    proptest::collection::vec(((0..UNIVERSE + 2), step), 0..24)
+fn conditions(specs: &[CondSpec]) -> Vec<TimingCondition<u32, u32>> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.build(&format!("c{i}")))
+        .collect()
 }
 
-fn to_sequence(events: &[(u32, i64)], quarters: bool) -> TimedSequence<u32, u32> {
-    let den = if quarters { 4 } else { 1 };
+/// A trace of `(action, dt)` steps with integral `dt`.
+fn trace() -> impl Strategy<Value = Vec<(u32, i64)>> {
+    proptest::collection::vec(((0..UNIVERSE + 2), 0i64..=2), 0..24)
+}
+
+/// The trace as a sequence whose post-states mirror the actions. Every
+/// time after the first `spill` events is shifted by 1/3, off the unit
+/// grid of integral bounds: a tick stream moves to `Rat` at event
+/// `spill + 1` (never, when `spill` is the trace length).
+fn to_sequence(events: &[(u32, i64)], spill: usize) -> TimedSequence<u32, u32> {
     let mut s = TimedSequence::new(START);
     let mut t = 0i64;
-    for &(a, dt) in events {
+    for (j, &(a, dt)) in events.iter().enumerate() {
         t += dt;
-        s.push(a, Rat::new(t.into(), den), a);
+        let shift = if j < spill { Rat::ZERO } else { Rat::new(1, 3) };
+        s.push(a, Rat::from(t) + shift, a);
     }
     s
 }
 
-fn sorted(vs: &[Violation]) -> Vec<String> {
-    let mut keys: Vec<String> = vs.iter().map(|v| format!("{v:?}")).collect();
-    keys.sort();
-    keys
+/// A monitor over `set`, predicting when `horizon` is set.
+fn monitor(set: &Arc<CompiledConditionSet<u32, u32>>, horizon: Option<Rat>) -> Monitor<u32, u32> {
+    let mon = Monitor::from_compiled(Arc::clone(set), &START);
+    match horizon {
+        Some(h) => mon.with_predictor(h),
+        None => mon,
+    }
 }
 
-/// Per-event verdicts plus final violations of a monitor run under
-/// `choice`.
-fn monitor_run(
+/// Engine, monitor and fold over `set` on `seq`, each held to the
+/// reference; returns the domain the engine and the monitor ended in.
+fn check_all(
     set: &Arc<CompiledConditionSet<u32, u32>>,
+    conds: &[TimingCondition<u32, u32>],
     seq: &TimedSequence<u32, u32>,
-    choice: BackendChoice,
-    mode: SatisfactionMode,
-) -> (Vec<String>, Vec<String>) {
-    let mut mon = Monitor::from_compiled_with(Arc::clone(set), seq.first_state(), choice);
-    let mut verdicts = Vec::new();
-    for (_, a, t, post) in seq.step_triples() {
-        verdicts.push(format!("{:?}", mon.observe(a, t, post)));
+    horizon: Option<Rat>,
+) -> Result<[EngineBackend; 2], TestCaseError> {
+    let mut ends = Vec::new();
+    for prefix in [true, false] {
+        let mut reference = Reference::new(prefix);
+        reference.horizon = horizon;
+        let want = reference.run(seq, conds);
+        let st = set.start_engine_predictive(seq.first_state(), horizon);
+        ends.push(check_engine(set, st, seq, prefix, &want)?);
+        ends.push(check_monitor(monitor(set, horizon), seq, prefix, &want)?);
+        if horizon.is_none() {
+            check_violations(set, &set.fold_sequence(seq, mode(prefix)), &want)?;
+        }
     }
-    (verdicts, sorted(&mon.finish(mode)))
+    prop_assert!(ends.iter().all(|&e| e == ends[0]), "{:?}", ends);
+    Ok([ends[0], ends[1]])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole invariant: on integral-bound condition sets the
-    /// auto-selected int backend and the pinned exact backend agree
-    /// pointwise — fold violations, per-event monitor verdicts, and
-    /// final monitor violations, in both modes, on traces that mix
-    /// on-grid and off-grid times.
+    /// The tentpole invariant: on integral-bound condition sets, the
+    /// tick instantiation (moving to `Rat` after a random prefix, and
+    /// right away) and the `Rat` instantiation from the start both
+    /// agree with the reference pointwise — engine logs, open
+    /// obligations and `min_deadline` after every event, monitor
+    /// verdicts and findings, fold violations — in both modes, with and
+    /// without a prediction horizon.
     #[test]
     fn int_and_exact_backends_agree(
         specs in proptest::collection::vec(cond_spec(), 1..4),
-        events in trace(true),
+        events in trace(),
+        spill in 0usize..24,
+        h in proptest::option::of(0i64..=3),
     ) {
-        let conds: Vec<TimingCondition<u32, u32>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.build(&format!("c{i}")))
-            .collect();
+        let conds = conditions(&specs);
         let set = Arc::new(CompiledConditionSet::new(&conds));
         prop_assert_eq!(set.backend(), EngineBackend::Int);
+        let exact = off_grid(&conds);
+        let exact_set = Arc::new(CompiledConditionSet::new(&exact));
+        prop_assert_eq!(exact_set.backend(), EngineBackend::Exact);
+        let horizon = h.map(Rat::from);
 
-        let seq = to_sequence(&events, true);
-        for mode in [SatisfactionMode::Prefix, SatisfactionMode::Complete] {
-            let int_fold = set.fold_sequence_with(&seq, mode, BackendChoice::Auto);
-            let exact_fold = set.fold_sequence_with(&seq, mode, BackendChoice::Exact);
-            prop_assert_eq!(
-                sorted(&int_fold),
-                sorted(&exact_fold),
-                "fold, mode {:?}",
-                mode
-            );
-
-            let (int_verdicts, int_final) = monitor_run(&set, &seq, BackendChoice::Auto, mode);
-            let (exact_verdicts, exact_final) =
-                monitor_run(&set, &seq, BackendChoice::Exact, mode);
-            prop_assert_eq!(int_verdicts, exact_verdicts, "verdict stream, mode {:?}", mode);
-            prop_assert_eq!(int_final, exact_final, "monitor violations, mode {:?}", mode);
+        for spill in [0, spill.min(events.len())] {
+            let seq = to_sequence(&events, spill);
+            let moved = spill < events.len();
+            let ends = check_all(&set, &conds, &seq, horizon)?;
+            let want = if moved { EngineBackend::Exact } else { EngineBackend::Int };
+            prop_assert_eq!(ends, [want; 2], "spill at {}", spill);
+            let ends = check_all(&exact_set, &exact, &seq, horizon)?;
+            prop_assert_eq!(ends, [EngineBackend::Exact; 2]);
         }
     }
 
-    /// On-grid traces never spill: the monitor stays on the int backend
-    /// end to end and still matches the exact oracle.
+    /// On-grid traces never leave the tick domain, and still agree with
+    /// the reference end to end.
     #[test]
     fn on_grid_traces_stay_on_the_int_backend(
         specs in proptest::collection::vec(cond_spec(), 1..4),
-        events in trace(false),
+        events in trace(),
     ) {
-        let conds: Vec<TimingCondition<u32, u32>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.build(&format!("c{i}")))
-            .collect();
+        let conds = conditions(&specs);
         let set = Arc::new(CompiledConditionSet::new(&conds));
-        let seq = to_sequence(&events, false);
-
-        let mut int_mon = Monitor::from_compiled(Arc::clone(&set), seq.first_state());
-        let mut exact_mon =
-            Monitor::from_compiled_with(Arc::clone(&set), seq.first_state(), BackendChoice::Exact);
-        for (_, a, t, post) in seq.step_triples() {
-            let vi = int_mon.observe(a, t, post);
-            let ve = exact_mon.observe(a, t, post);
-            prop_assert_eq!(format!("{vi:?}"), format!("{ve:?}"));
-        }
-        prop_assert_eq!(int_mon.backend(), EngineBackend::Int, "no spill on grid times");
-        prop_assert_eq!(
-            sorted(&int_mon.finish(SatisfactionMode::Complete)),
-            sorted(&exact_mon.finish(SatisfactionMode::Complete))
-        );
+        let seq = to_sequence(&events, events.len());
+        let ends = check_all(&set, &conds, &seq, None)?;
+        prop_assert_eq!(ends, [EngineBackend::Int; 2], "no spill on grid times");
     }
 }

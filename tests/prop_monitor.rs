@@ -1,9 +1,17 @@
 //! Property tests for the streaming monitor: on random timed sequences —
 //! valid simulated runs and time-warped (possibly violating) variants —
 //! the online [`tempo_monitor::Monitor`] reports exactly the violations
-//! the offline checker (`tempo_core::violations`) finds.
+//! the offline checker (`tempo_core::violations`) finds, and both agree
+//! with the independent naive reference checker (`support/reference.rs`)
+//! in discovery order.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use proptest::prelude::*;
+use support::oracle::check_violations;
+use support::reference::Reference;
+use tempo_core::engine::CompiledConditionSet;
 use tempo_core::{
     dummify, project, time_ab, undum, violations, RandomScheduler, SatisfactionMode, TimedSequence,
     TimingCondition, Violation,
@@ -63,6 +71,8 @@ where
             .flat_map(|c| violations(seq, c, mode))
             .collect();
         let online = replay(seq, conds, mode);
+        let want = Reference::new(mode == SatisfactionMode::Prefix).run(seq, conds);
+        check_violations(&CompiledConditionSet::new(conds), &online, &want)?;
         prop_assert_eq!(sorted(offline), sorted(online), "mode {:?}", mode);
     }
     let offline_ok = conds

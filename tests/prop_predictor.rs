@@ -1,16 +1,24 @@
-//! Property tests for the zone-based early-warning predictor: on random
-//! simulated runs — valid and time-warped — (1) attaching a predictor
-//! never changes the violation verdicts, (2) every upper-bound violation
-//! is preceded by a warning whose lead time is at least the horizon, and
-//! (3) a violation-free stream at horizon 0 emits no warnings at all.
+//! Property tests for engine-native prediction: on random simulated
+//! runs — valid and time-warped — (1) attaching a predictor never
+//! changes the violation verdicts, (2) every upper-bound violation is
+//! preceded by a warning whose lead time is at least the horizon, (3) a
+//! violation-free stream at horizon 0 emits no warnings at all, and (4)
+//! violations, warnings and forced windows agree pointwise with the
+//! independent naive reference checker (`support/reference.rs`) in both
+//! time domains.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tempo_core::engine::{BackendChoice, CompiledConditionSet};
+use support::oracle::{check_monitor, check_predictions, check_violations, off_grid};
+use support::reference::Reference;
+use tempo_core::engine::{CompiledConditionSet, EngineBackend};
 use tempo_core::{time_ab, SatisfactionMode, TimedSequence, TimingCondition, ViolationKind};
 use tempo_math::Rat;
-use tempo_monitor::{replay, replay_predictive, Monitor};
+use tempo_monitor::{replay, replay_predictive, replay_predictive_full, Monitor};
 use tempo_sim::{predictive_audit_runs, Ensemble};
 use tempo_systems::resource_manager::{self, g1, g2, Params};
 
@@ -81,6 +89,12 @@ where
         for (i, w) in warnings.iter().enumerate() {
             prop_assert!(!warnings[..i].contains(w), "duplicate warning {w:?}");
         }
+        // And all of it is what the definitions say.
+        let prefix = mode == SatisfactionMode::Prefix;
+        let want = Reference::new(prefix).horizon(horizon).run(seq, conds);
+        let (violations, warnings, forced) = replay_predictive_full(seq, conds, mode, horizon);
+        check_violations(&CompiledConditionSet::new(conds), &violations, &want)?;
+        check_predictions(&warnings, &forced, &want)?;
     }
     Ok(())
 }
@@ -127,12 +141,14 @@ proptest! {
         );
     }
 
-    /// Predictive differential: with the engine armed, the integer-tick
-    /// backend and the pinned exact backend agree *pointwise* — same
-    /// per-event verdict stream (warnings and forced windows included),
-    /// same final violation/warning/forced lists — on traces that mix
-    /// on-grid and off-grid times, so the mid-stream int→exact spill
-    /// carries warning state across the boundary.
+    /// Predictive differential: with the engine armed, the tick
+    /// instantiation (on grid, or moving to `Rat` when a warp puts times
+    /// off grid) and the `Rat` instantiation from the start (the same
+    /// conditions beside two off-grid ones) both agree with the
+    /// reference *pointwise* — per-event findings and verdicts
+    /// (warnings and forced windows included), minimum slack after every
+    /// event, and the final violation/warning lists — so the mid-stream
+    /// move carries warning state across the boundary.
     #[test]
     fn int_and_exact_prediction_agree(
         params in rm_params(),
@@ -143,34 +159,22 @@ proptest! {
         let runs = Ensemble::new(2, 60).with_seed(seed).collect(&impl_aut);
         let conds = [g1(&params), g2(&params)];
         let set = Arc::new(CompiledConditionSet::new(&conds));
-        let horizon = Rat::ONE; // on the unit tick grid of the int backend
+        let exact = off_grid(&conds);
+        let exact_set = Arc::new(CompiledConditionSet::new(&exact));
+        prop_assert_eq!(exact_set.backend(), EngineBackend::Exact);
+        let horizon = Rat::ONE; // on the unit tick grid
         for run in &runs {
             // `num = 8` keeps the run on grid; everything else warps
-            // times to quarters/eighths and spills mid-stream.
+            // times to quarters/eighths and moves mid-stream.
             for seq in [run.clone(), warp(run, Rat::new(num, 8))] {
-                let mut int_mon = Monitor::from_compiled_with(
-                    Arc::clone(&set),
-                    seq.first_state(),
-                    BackendChoice::Auto,
-                )
-                .with_predictor(horizon);
-                let mut exact_mon = Monitor::from_compiled_with(
-                    Arc::clone(&set),
-                    seq.first_state(),
-                    BackendChoice::Exact,
-                )
-                .with_predictor(horizon);
-                for (_, a, t, post) in seq.step_triples() {
-                    let vi = int_mon.observe(a, t, post);
-                    let ve = exact_mon.observe(a, t, post);
-                    prop_assert_eq!(format!("{vi:?}"), format!("{ve:?}"), "verdict at t = {}", t);
-                }
-                prop_assert_eq!(int_mon.min_slack(), exact_mon.min_slack());
-                let (iv, iw, ifc) = int_mon.finish_full(SatisfactionMode::Complete);
-                let (ev, ew, efc) = exact_mon.finish_full(SatisfactionMode::Complete);
-                prop_assert_eq!(format!("{iv:?}"), format!("{ev:?}"), "violations");
-                prop_assert_eq!(format!("{iw:?}"), format!("{ew:?}"), "warnings");
-                prop_assert_eq!(format!("{ifc:?}"), format!("{efc:?}"), "forced windows");
+                let want = Reference::new(false).horizon(horizon).run(&seq, &conds);
+                let int_mon =
+                    Monitor::from_compiled(Arc::clone(&set), seq.first_state()).with_predictor(horizon);
+                check_monitor(int_mon, &seq, false, &want)?;
+                let exact_mon = Monitor::from_compiled(Arc::clone(&exact_set), seq.first_state())
+                    .with_predictor(horizon);
+                let end = check_monitor(exact_mon, &seq, false, &want)?;
+                prop_assert_eq!(end, EngineBackend::Exact);
             }
         }
     }
