@@ -72,8 +72,7 @@ fn bench_predictor_overhead(c: &mut Criterion) {
                             let v = mon.observe(a, t, post);
                             assert!(v.is_ok());
                         }
-                        let (violations, warnings) =
-                            mon.finish_with_warnings(SatisfactionMode::Prefix);
+                        let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Prefix);
                         assert!(violations.is_empty());
                         warnings.len()
                     })

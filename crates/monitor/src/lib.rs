@@ -39,12 +39,12 @@
 //!   ([`StreamHandle::send_batch`]) amortizes even the atomic traffic.
 //! * [`mod@ring`] — the bounded single-producer/single-consumer ring
 //!   buffer underneath the pool, usable on its own.
-//! * [`MonitorMetrics`] — shared atomic counters (events, obligation
-//!   churn, warnings, slack, queue depths, per-stream lag) with a
-//!   plain-text [snapshot](MetricsSnapshot) renderer.
+//! * [`MonitorMetrics`] — a pool's shared atomic counters (events,
+//!   obligation churn, warnings, slack, queue depths, per-stream lag)
+//!   with a plain-text [snapshot](MetricsSnapshot) renderer.
 //! * [`mod@replay`] — adapters feeding recorded [`TimedSequence`]s through a
 //!   monitor, bridging the offline and online worlds;
-//!   [`replay_predictive`] replays with early warnings.
+//!   [`replay_predictive_full`] replays with prediction armed.
 //!
 //! # Quickstart
 //!
@@ -88,9 +88,7 @@ pub use pool::{
     MonitorPool, OverloadPolicy, PoolConfig, PoolReport, ReloadReport, StreamHandle,
     StreamOverflow, StreamReport,
 };
-pub use replay::{
-    replay, replay_predictive, replay_predictive_full, replay_semi_satisfies, replay_verdicts,
-};
+pub use replay::{replay, replay_predictive_full, replay_verdicts};
 // The obligation types live in the shared condition engine
 // (`tempo_core::engine`) — re-exported here so downstream code keeps
 // its `tempo_monitor::{Obligation, ObligationKind}` paths.

@@ -1,18 +1,16 @@
 //! Shared monitor counters and a plain-text snapshot renderer.
 //!
-//! A [`MonitorMetrics`] is a bag of atomics that any number of monitors,
-//! pool workers and producer threads bump concurrently; [`snapshot`]
-//! freezes the counters into a [`MetricsSnapshot`] whose `Display`
-//! renders an aligned table in the style of `tempo-core`'s `render`
-//! module.
+//! A [`MonitorMetrics`] is a bag of atomics that pool workers and
+//! producer threads bump concurrently; [`snapshot`] freezes the
+//! counters into a [`MetricsSnapshot`] whose `Display` renders an
+//! aligned table in the style of `tempo-core`'s `render` module.
 //!
-//! Internally the hot, worker-side counters (events, obligation churn,
-//! warnings, slack) are *sharded*: each pool worker records into its own
-//! cache-line-aligned [`MetricsShard`], and [`snapshot`] merges the
-//! shards with the base counters. Producer-side counters (queue depth,
-//! drops, batches, per-stream lag) stay on the base struct — they are
-//! either amortized by batching or per-stream to begin with. The public
-//! snapshot API is unchanged by the sharding.
+//! The hot, worker-side counters (events, obligation churn, warnings,
+//! slack) live only in *shards*: each pool worker records into its own
+//! cache-line-aligned [`MetricsShard`], and [`snapshot`] sums the
+//! shards. Producer-side counters (queue depth, drops, batches,
+//! per-stream lag) live on the base struct — they are either amortized
+//! by batching or per-stream to begin with.
 //!
 //! [`snapshot`]: MonitorMetrics::snapshot
 
@@ -171,81 +169,12 @@ impl MetricsShard {
     }
 }
 
-/// A monitor's destination for hot-path counters: either the shared base
-/// [`MonitorMetrics`] (standalone monitors) or one worker's private
-/// [`MetricsShard`] (pool monitors, merged at snapshot time).
-#[derive(Debug, Clone)]
-pub(crate) enum MetricsRef {
-    Base(Arc<MonitorMetrics>),
-    Shard(Arc<MetricsShard>),
-}
-
-impl MetricsRef {
-    pub(crate) fn record_event(&self) {
-        match self {
-            MetricsRef::Base(m) => m.record_event(),
-            MetricsRef::Shard(s) => s.record_event(),
-        }
-    }
-
-    pub(crate) fn record_opened(&self, n: u64) {
-        match self {
-            MetricsRef::Base(m) => m.record_opened(n),
-            MetricsRef::Shard(s) => s.record_opened(n),
-        }
-    }
-
-    pub(crate) fn record_discharged(&self) {
-        match self {
-            MetricsRef::Base(m) => m.record_discharged(),
-            MetricsRef::Shard(s) => s.record_discharged(),
-        }
-    }
-
-    pub(crate) fn record_violated(&self) {
-        match self {
-            MetricsRef::Base(m) => m.record_violated(),
-            MetricsRef::Shard(s) => s.record_violated(),
-        }
-    }
-
-    pub(crate) fn record_warning(&self, slack: Rat, horizon: Rat) {
-        match self {
-            MetricsRef::Base(m) => m.record_warning(slack, horizon),
-            MetricsRef::Shard(s) => s.record_warning(slack, horizon),
-        }
-    }
-
-    pub(crate) fn record_forced(&self, margin: Rat, horizon: Rat) {
-        match self {
-            MetricsRef::Base(m) => m.record_forced(margin, horizon),
-            MetricsRef::Shard(s) => s.record_forced(margin, horizon),
-        }
-    }
-
-    pub(crate) fn record_min_slack(&self, slack: Rat) {
-        match self {
-            MetricsRef::Base(m) => m.record_min_slack(slack),
-            MetricsRef::Shard(s) => s.record_min_slack(slack),
-        }
-    }
-}
-
-/// Atomic counters shared by monitors and pool workers.
+/// Atomic counters shared by pool workers and producers.
 #[derive(Debug, Default)]
 pub struct MonitorMetrics {
-    events: AtomicU64,
-    obligations_opened: AtomicU64,
-    obligations_discharged: AtomicU64,
-    obligations_violated: AtomicU64,
     max_queue_depth: AtomicU64,
     dropped_events: AtomicU64,
     failed_streams: AtomicU64,
-    warnings: AtomicU64,
-    warning_slack_hist: [AtomicU64; SLACK_BUCKETS],
-    forced: AtomicU64,
-    forced_margin_hist: [AtomicU64; SLACK_BUCKETS],
-    min_slack: Mutex<Option<Rat>>,
     batches: AtomicU64,
     batched_events: AtomicU64,
     max_batch: AtomicU64,
@@ -257,26 +186,6 @@ impl MonitorMetrics {
     /// Fresh, all-zero counters.
     pub fn new() -> MonitorMetrics {
         MonitorMetrics::default()
-    }
-
-    /// Records one event consumed by a monitor.
-    pub fn record_event(&self) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` obligations opened by a trigger.
-    pub fn record_opened(&self, n: u64) {
-        self.obligations_opened.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one obligation discharged without violation.
-    pub fn record_discharged(&self) {
-        self.obligations_discharged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one obligation resolved as a violation.
-    pub fn record_violated(&self) {
-        self.obligations_violated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds an observed queue depth into the running maximum.
@@ -292,35 +201,6 @@ impl MonitorMetrics {
     /// Records one stream refused under the fail-stream overload policy.
     pub fn record_failed_stream(&self) {
         self.failed_streams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one early warning and buckets its slack into the
-    /// `slack / horizon` histogram. A clamped warning (`b_u < horizon`,
-    /// so `slack < horizon`) lands in the quartile of its ratio; a
-    /// full-horizon warning — and every warning at horizon `0` — lands
-    /// in the last bucket.
-    pub fn record_warning(&self, slack: Rat, horizon: Rat) {
-        self.warnings.fetch_add(1, Ordering::Relaxed);
-        self.warning_slack_hist[slack_bucket(slack, horizon)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one forced window and buckets its margin into the
-    /// `margin / horizon` histogram. Forced windows only exist with
-    /// `margin ≥ horizon`, so the buckets are the doubling intervals
-    /// `[1,2) [2,4) [4,8) [8,16) [16,∞)` of the ratio.
-    pub fn record_forced(&self, margin: Rat, horizon: Rat) {
-        self.forced.fetch_add(1, Ordering::Relaxed);
-        self.forced_margin_hist[margin_bucket(margin, horizon)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds an observed minimum remaining slack into the running
-    /// all-time low-water mark.
-    pub fn record_min_slack(&self, slack: Rat) {
-        let mut guard = self.min_slack.lock().expect("metrics mutex poisoned");
-        match *guard {
-            Some(m) if m <= slack => {}
-            _ => *guard = Some(slack),
-        }
     }
 
     /// Records one batch of `n` events pushed through a pool handle.
@@ -352,8 +232,8 @@ impl MonitorMetrics {
         shard
     }
 
-    /// Freezes the counters into an immutable snapshot, merging every
-    /// worker shard with the base counters.
+    /// Freezes the counters into an immutable snapshot, summing every
+    /// worker shard's hot counters beside the base producer counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         self.snapshot_into(&mut out);
@@ -378,48 +258,45 @@ impl MonitorMetrics {
                     lag: lag.lag(),
                 }));
         }
-        let mut events = self.events.load(Ordering::Relaxed);
-        let mut opened = self.obligations_opened.load(Ordering::Relaxed);
-        let mut discharged = self.obligations_discharged.load(Ordering::Relaxed);
-        let mut violated = self.obligations_violated.load(Ordering::Relaxed);
-        let mut warnings = self.warnings.load(Ordering::Relaxed);
-        let mut hist: [u64; SLACK_BUCKETS] =
-            std::array::from_fn(|i| self.warning_slack_hist[i].load(Ordering::Relaxed));
-        let mut forced = self.forced.load(Ordering::Relaxed);
-        let mut margin_hist: [u64; SLACK_BUCKETS] =
-            std::array::from_fn(|i| self.forced_margin_hist[i].load(Ordering::Relaxed));
-        let mut min_slack = *self.min_slack.lock().expect("metrics mutex poisoned");
+        out.events = 0;
+        out.obligations_opened = 0;
+        out.obligations_discharged = 0;
+        out.obligations_violated = 0;
+        out.warnings = 0;
+        out.warning_slack_hist = [0; SLACK_BUCKETS];
+        out.forced = 0;
+        out.forced_margin_hist = [0; SLACK_BUCKETS];
+        out.min_slack = None;
         for shard in self.shards.lock().expect("metrics mutex poisoned").iter() {
-            events += shard.events.load(Ordering::Relaxed);
-            opened += shard.obligations_opened.load(Ordering::Relaxed);
-            discharged += shard.obligations_discharged.load(Ordering::Relaxed);
-            violated += shard.obligations_violated.load(Ordering::Relaxed);
-            warnings += shard.warnings.load(Ordering::Relaxed);
-            for (i, bucket) in shard.warning_slack_hist.iter().enumerate() {
-                hist[i] += bucket.load(Ordering::Relaxed);
+            out.events += shard.events.load(Ordering::Relaxed);
+            out.obligations_opened += shard.obligations_opened.load(Ordering::Relaxed);
+            out.obligations_discharged += shard.obligations_discharged.load(Ordering::Relaxed);
+            out.obligations_violated += shard.obligations_violated.load(Ordering::Relaxed);
+            out.warnings += shard.warnings.load(Ordering::Relaxed);
+            for (total, bucket) in out
+                .warning_slack_hist
+                .iter_mut()
+                .zip(&shard.warning_slack_hist)
+            {
+                *total += bucket.load(Ordering::Relaxed);
             }
-            forced += shard.forced.load(Ordering::Relaxed);
-            for (i, bucket) in shard.forced_margin_hist.iter().enumerate() {
-                margin_hist[i] += bucket.load(Ordering::Relaxed);
+            out.forced += shard.forced.load(Ordering::Relaxed);
+            for (total, bucket) in out
+                .forced_margin_hist
+                .iter_mut()
+                .zip(&shard.forced_margin_hist)
+            {
+                *total += bucket.load(Ordering::Relaxed);
             }
             let shard_min = *shard.min_slack.lock().expect("metrics mutex poisoned");
-            min_slack = match (min_slack, shard_min) {
+            out.min_slack = match (out.min_slack, shard_min) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
         }
-        out.events = events;
-        out.obligations_opened = opened;
-        out.obligations_discharged = discharged;
-        out.obligations_violated = violated;
         out.max_queue_depth = self.max_queue_depth.load(Ordering::Relaxed);
         out.dropped_events = self.dropped_events.load(Ordering::Relaxed);
         out.failed_streams = self.failed_streams.load(Ordering::Relaxed);
-        out.warnings = warnings;
-        out.warning_slack_hist = hist;
-        out.forced = forced;
-        out.forced_margin_hist = margin_hist;
-        out.min_slack = min_slack;
         out.batches = self.batches.load(Ordering::Relaxed);
         out.batched_events = self.batched_events.load(Ordering::Relaxed);
         out.max_batch = self.max_batch.load(Ordering::Relaxed);
@@ -460,14 +337,13 @@ pub struct MetricsSnapshot {
     /// Early warnings emitted by predictors.
     pub warnings: u64,
     /// Warning counts bucketed by `slack / horizon` quartile; the last
-    /// bucket holds full-horizon warnings (see
-    /// [`record_warning`](MonitorMetrics::record_warning)).
+    /// bucket holds full-horizon warnings and every warning at horizon
+    /// `0`.
     pub warning_slack_hist: [u64; SLACK_BUCKETS],
     /// Forced windows reported by predictive monitors.
     pub forced: u64,
     /// Forced-window counts bucketed by `margin / horizon` doubling
-    /// intervals `[1,2) … [16,∞)` (see
-    /// [`record_forced`](MonitorMetrics::record_forced)).
+    /// intervals `[1,2) … [16,∞)`.
     pub forced_margin_hist: [u64; SLACK_BUCKETS],
     /// All-time minimum remaining slack observed across every open
     /// deadline; `None` until a predictor has reported one.
@@ -584,11 +460,12 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = MonitorMetrics::new();
-        m.record_event();
-        m.record_event();
-        m.record_opened(3);
-        m.record_discharged();
-        m.record_violated();
+        let shard = m.register_shard();
+        shard.record_event();
+        shard.record_event();
+        shard.record_opened(3);
+        shard.record_discharged();
+        shard.record_violated();
         m.record_queue_depth(5);
         m.record_queue_depth(2);
         let s = m.snapshot();
@@ -619,13 +496,14 @@ mod tests {
     #[test]
     fn warning_histogram_buckets_by_slack_ratio() {
         let m = MonitorMetrics::new();
+        let shard = m.register_shard();
         let h = Rat::from(8);
-        m.record_warning(Rat::from(1), h); // 1/8 → bucket 0
-        m.record_warning(Rat::from(3), h); // 3/8 → bucket 1
-        m.record_warning(Rat::from(4), h); // 4/8 → bucket 2
-        m.record_warning(Rat::from(7), h); // 7/8 → bucket 3
-        m.record_warning(h, h); // full horizon → bucket 4
-        m.record_warning(Rat::ZERO, Rat::ZERO); // horizon 0 → bucket 4
+        shard.record_warning(Rat::from(1), h); // 1/8 → bucket 0
+        shard.record_warning(Rat::from(3), h); // 3/8 → bucket 1
+        shard.record_warning(Rat::from(4), h); // 4/8 → bucket 2
+        shard.record_warning(Rat::from(7), h); // 7/8 → bucket 3
+        shard.record_warning(h, h); // full horizon → bucket 4
+        shard.record_warning(Rat::ZERO, Rat::ZERO); // horizon 0 → bucket 4
         let s = m.snapshot();
         assert_eq!(s.warnings, 6);
         assert_eq!(s.warning_slack_hist, [1, 1, 1, 1, 2]);
@@ -635,13 +513,14 @@ mod tests {
     #[test]
     fn forced_histogram_buckets_by_margin_ratio() {
         let m = MonitorMetrics::new();
+        let shard = m.register_shard();
         let h = Rat::from(2);
-        m.record_forced(Rat::from(2), h); // 1x → bucket 0
-        m.record_forced(Rat::from(5), h); // 2.5x → bucket 1
-        m.record_forced(Rat::from(9), h); // 4.5x → bucket 2
-        m.record_forced(Rat::from(17), h); // 8.5x → bucket 3
-        m.record_forced(Rat::from(64), h); // 32x → bucket 4
-        m.record_forced(Rat::ZERO, Rat::ZERO); // defensive: horizon 0 → bucket 4
+        shard.record_forced(Rat::from(2), h); // 1x → bucket 0
+        shard.record_forced(Rat::from(5), h); // 2.5x → bucket 1
+        shard.record_forced(Rat::from(9), h); // 4.5x → bucket 2
+        shard.record_forced(Rat::from(17), h); // 8.5x → bucket 3
+        shard.record_forced(Rat::from(64), h); // 32x → bucket 4
+        shard.record_forced(Rat::ZERO, Rat::ZERO); // defensive: horizon 0 → bucket 4
         let s = m.snapshot();
         assert_eq!(s.forced, 6);
         assert_eq!(s.forced_margin_hist, [1, 1, 1, 1, 2]);
@@ -652,9 +531,10 @@ mod tests {
     #[test]
     fn forced_counts_merge_from_shards() {
         let m = MonitorMetrics::new();
-        m.record_forced(Rat::from(3), Rat::from(3)); // base, bucket 0
         let a = m.register_shard();
-        a.record_forced(Rat::from(10), Rat::from(3)); // shard, bucket 1
+        let b = m.register_shard();
+        a.record_forced(Rat::from(3), Rat::from(3)); // bucket 0
+        b.record_forced(Rat::from(10), Rat::from(3)); // bucket 1
         let s = m.snapshot();
         assert_eq!(s.forced, 2);
         assert_eq!(s.forced_margin_hist, [1, 1, 0, 0, 0]);
@@ -663,10 +543,11 @@ mod tests {
     #[test]
     fn min_slack_keeps_the_low_water_mark() {
         let m = MonitorMetrics::new();
+        let shard = m.register_shard();
         assert_eq!(m.snapshot().min_slack, None);
-        m.record_min_slack(Rat::from(5));
-        m.record_min_slack(Rat::from(9));
-        m.record_min_slack(Rat::from(2));
+        shard.record_min_slack(Rat::from(5));
+        shard.record_min_slack(Rat::from(9));
+        shard.record_min_slack(Rat::from(2));
         assert_eq!(m.snapshot().min_slack, Some(Rat::from(2)));
         assert!(m.snapshot().render().contains("min slack seen"));
     }
@@ -692,11 +573,12 @@ mod tests {
     #[test]
     fn shards_merge_into_the_snapshot() {
         let m = MonitorMetrics::new();
-        m.record_event();
-        m.record_warning(Rat::from(2), Rat::from(2)); // base, bucket 4
-        m.record_min_slack(Rat::from(5));
         let a = m.register_shard();
         let b = m.register_shard();
+        let c = m.register_shard();
+        c.record_event();
+        c.record_warning(Rat::from(2), Rat::from(2)); // bucket 4
+        c.record_min_slack(Rat::from(5));
         a.record_event();
         a.record_opened(2);
         a.record_discharged();
@@ -713,7 +595,7 @@ mod tests {
         assert_eq!(s.obligations_open(), 0);
         assert_eq!(s.warnings, 2);
         assert_eq!(s.warning_slack_hist, [1, 0, 0, 0, 1]);
-        // Minimum slack is the minimum across base and every shard.
+        // Minimum slack is the minimum across every shard.
         assert_eq!(s.min_slack, Some(Rat::from(3)));
     }
 
@@ -743,7 +625,7 @@ mod tests {
     #[test]
     fn render_is_aligned() {
         let m = MonitorMetrics::new();
-        m.record_event();
+        m.register_shard().record_event();
         let text = m.snapshot().render();
         assert!(text.contains("events"));
         assert!(text.contains("max queue depth"));

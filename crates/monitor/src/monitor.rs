@@ -10,7 +10,7 @@ use tempo_core::engine::{
 use tempo_core::{SatisfactionMode, TimingCondition, Violation};
 use tempo_math::Rat;
 
-use crate::metrics::{MetricsRef, MetricsShard, MonitorMetrics};
+use crate::metrics::MetricsShard;
 use crate::verdict::{Forced, Verdict, Warning};
 
 /// An online monitor for a set of timing conditions over one event
@@ -68,9 +68,9 @@ pub struct Monitor<S, A> {
     /// prediction). The engine itself tracks the warning points; the
     /// monitor keeps the horizon to stamp it into report payloads.
     horizon: Option<Rat>,
-    /// Hot-counter sink: the shared base metrics for standalone
-    /// monitors, or one pool worker's private shard.
-    metrics: Option<MetricsRef>,
+    /// Hot-counter sink: the private metrics shard of the pool worker
+    /// that runs this stream.
+    metrics: Option<Arc<MetricsShard>>,
 }
 
 /// What [`Monitor::swap_compiled`] did with the open obligations.
@@ -116,8 +116,8 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
     pub fn from_compiled(set: Arc<CompiledConditionSet<S, A>>, start: &S) -> Monitor<S, A> {
         let mut engine = set.start_engine(start);
         // No metrics yet: nobody consumes obligation lifecycle events,
-        // so keep them out of the per-event hot path. `with_metrics`
-        // turns the log back on.
+        // so keep them out of the per-event hot path.
+        // `with_metrics_shard` turns the log back on.
         engine.set_log_lifecycle(false);
         Monitor {
             set,
@@ -278,25 +278,16 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
         SwapReport { carried, dropped }
     }
 
-    /// Attaches shared metrics counters; every subsequent event and
-    /// obligation transition is recorded there. Obligations already
-    /// opened by the start-state trigger are counted retroactively, so
-    /// `opened = discharged + violated + open` holds at all times.
-    pub fn with_metrics(self, metrics: Arc<MonitorMetrics>) -> Monitor<S, A> {
-        self.with_metrics_ref(MetricsRef::Base(metrics))
-    }
-
-    /// [`with_metrics`](Monitor::with_metrics), but recording the hot
-    /// counters into one pool worker's private [`MetricsShard`] instead
-    /// of the shared base struct — the shard is merged back at snapshot
-    /// time, so the observable totals are identical.
-    pub(crate) fn with_metrics_shard(self, shard: Arc<MetricsShard>) -> Monitor<S, A> {
-        self.with_metrics_ref(MetricsRef::Shard(shard))
-    }
-
-    fn with_metrics_ref(mut self, metrics: MetricsRef) -> Monitor<S, A> {
-        metrics.record_opened(self.engine.open_obligations() as u64);
-        self.metrics = Some(metrics);
+    /// Attaches one pool worker's private [`MetricsShard`]; every
+    /// subsequent event and obligation transition is recorded there, and
+    /// the shard is summed into the pool's
+    /// [`MonitorMetrics`](crate::MonitorMetrics) snapshots. Obligations
+    /// already opened by the start-state trigger are counted
+    /// retroactively, so `opened = discharged + violated + open` holds
+    /// at all times.
+    pub(crate) fn with_metrics_shard(mut self, shard: Arc<MetricsShard>) -> Monitor<S, A> {
+        shard.record_opened(self.engine.open_obligations() as u64);
+        self.metrics = Some(shard);
         // The metrics counters consume obligation lifecycle events.
         self.engine.set_log_lifecycle(true);
         self
@@ -502,26 +493,19 @@ impl<S: Clone, A: Clone + Eq + Hash> Monitor<S, A> {
     /// semi-satisfaction) open deadlines are excused: an open deadline
     /// implies `t_end ≤ deadline`, so some extension could still meet it.
     pub fn finish(self, mode: SatisfactionMode) -> Vec<Violation> {
-        self.finish_with_warnings(mode).0
-    }
-
-    /// Like [`finish`](Monitor::finish), but also returns the warnings
-    /// collected over the stream's lifetime, including any owed for the
-    /// end-of-stream violations of [`SatisfactionMode::Complete`] (each
-    /// such warning precedes its violation in the returned lists, so the
-    /// warning-before-violation guarantee survives stream end).
-    ///
-    /// Without a predictor the warning list is empty.
-    pub fn finish_with_warnings(self, mode: SatisfactionMode) -> (Vec<Violation>, Vec<Warning>) {
-        let (violations, warnings, _) = self.finish_full(mode);
-        (violations, warnings)
+        self.finish_full(mode).0
     }
 
     /// Ends the stream and returns everything it produced: the
     /// violations, the warnings, and the forced windows — the full
-    /// bidirectional report. [`finish`](Monitor::finish) and
-    /// [`finish_with_warnings`](Monitor::finish_with_warnings) are
-    /// projections of this.
+    /// bidirectional report; [`finish`](Monitor::finish) is its
+    /// violation projection.
+    ///
+    /// The warnings include any owed for the end-of-stream violations
+    /// of [`SatisfactionMode::Complete`] (each such warning precedes its
+    /// violation in the returned lists, so the warning-before-violation
+    /// guarantee survives stream end). Without a predictor the warning
+    /// and forced lists are empty.
     pub fn finish_full(
         mut self,
         mode: SatisfactionMode,
@@ -678,6 +662,7 @@ impl<S, A> Monitor<S, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MonitorMetrics;
     use tempo_core::ViolationKind;
     use tempo_math::Interval;
 
@@ -806,8 +791,9 @@ mod tests {
 
     #[test]
     fn metrics_are_recorded() {
-        let metrics = Arc::new(MonitorMetrics::new());
-        let mut mon = Monitor::new(&[cond(2, 4)], &0u8).with_metrics(Arc::clone(&metrics));
+        let metrics = MonitorMetrics::new();
+        let mut mon =
+            Monitor::new(&[cond(2, 4)], &0u8).with_metrics_shard(metrics.register_shard());
         mon.observe(&"fire", Rat::from(1), &1); // lower violation
         mon.observe(&"fire", Rat::from(3), &1);
         let s = metrics.snapshot();
@@ -841,7 +827,7 @@ mod tests {
         assert_eq!(mon.observe(&"fire", Rat::from(9), &1), Verdict::Ok);
         assert!(mon.is_ok());
         assert_eq!(mon.warnings().len(), 1);
-        let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Complete);
+        let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Complete);
         assert!(violations.is_empty());
         assert_eq!(warnings.len(), 1);
     }
@@ -863,7 +849,7 @@ mod tests {
         let mut mon = Monitor::new(&[cond(0, 4)], &0u8).with_predictor(Rat::ZERO);
         assert_eq!(mon.observe(&"noise", Rat::from(4), &1), Verdict::Ok);
         assert_eq!(mon.observe(&"fire", Rat::from(4), &1), Verdict::Ok);
-        let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Complete);
+        let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Complete);
         assert!(violations.is_empty());
         assert!(warnings.is_empty());
     }
@@ -874,14 +860,14 @@ mod tests {
         // open obligation and the predictor still owes its warning.
         let mut mon = Monitor::new(&[cond(0, 10)], &0u8).with_predictor(Rat::from(2));
         assert_eq!(mon.observe(&"noise", Rat::from(1), &1), Verdict::Ok);
-        let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Complete);
+        let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Complete);
         assert_eq!(violations.len(), 1);
         assert_eq!(warnings.len(), 1);
         assert_eq!(warnings[0].trigger_index, 0);
         // Prefix mode excuses the deadline — and owes no warning either.
         let mut mon = Monitor::new(&[cond(0, 10)], &0u8).with_predictor(Rat::from(2));
         mon.observe(&"noise", Rat::from(1), &1);
-        let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Prefix);
+        let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Prefix);
         assert!(violations.is_empty());
         assert!(warnings.is_empty());
     }
@@ -925,9 +911,9 @@ mod tests {
 
     #[test]
     fn predictor_metrics_record_warnings_and_slack() {
-        let metrics = Arc::new(MonitorMetrics::new());
+        let metrics = MonitorMetrics::new();
         let mut mon = Monitor::new(&[cond(0, 10)], &0u8)
-            .with_metrics(Arc::clone(&metrics))
+            .with_metrics_shard(metrics.register_shard())
             .with_predictor(Rat::from(4));
         mon.observe(&"noise", Rat::from(7), &1); // warn point 6 passed
         mon.observe(&"fire", Rat::from(8), &1);

@@ -176,11 +176,21 @@ impl PoolConfig {
 pub struct StreamOverflow {
     /// The failed stream's id.
     pub stream: u64,
+    /// Events of the failing call that were enqueued before it failed,
+    /// and so will be monitored: the delivered prefix of a
+    /// [`send_batch`](StreamHandle::send_batch) cut short by a full
+    /// queue or a shutdown. Always `0` for [`send`](StreamHandle::send)
+    /// and for calls on an already failed stream.
+    pub accepted: u64,
 }
 
 impl fmt::Display for StreamOverflow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stream {} overflowed its monitor queue", self.stream)
+        write!(
+            f,
+            "stream {} overflowed its monitor queue after accepting {} events of the call",
+            self.stream, self.accepted
+        )
     }
 }
 
@@ -445,6 +455,7 @@ impl<S, A> StreamHandle<S, A> {
         if self.failed {
             return Err(StreamOverflow {
                 stream: self.stream,
+                accepted: 0,
             });
         }
         let mut event = Event::new(action, time, state);
@@ -464,6 +475,7 @@ impl<S, A> StreamHandle<S, A> {
                             self.failed = true;
                             return Err(StreamOverflow {
                                 stream: self.stream,
+                                accepted: 0,
                             });
                         }
                     }
@@ -485,6 +497,7 @@ impl<S, A> StreamHandle<S, A> {
                     self.metrics.record_failed_stream();
                     return Err(StreamOverflow {
                         stream: self.stream,
+                        accepted: 0,
                     });
                 }
             },
@@ -509,9 +522,10 @@ impl<S, A> StreamHandle<S, A> {
     ///
     /// Under [`OverloadPolicy::FailStream`], returns [`StreamOverflow`]
     /// when the batch did not fit entirely (the fitting prefix is still
-    /// delivered), and on every later send. The other policies only
-    /// error when the pool is shutting down underneath the handle (see
-    /// [`StreamOverflow`] for the full per-policy contract).
+    /// delivered, and counted in [`StreamOverflow::accepted`]), and on
+    /// every later send. The other policies only error when the pool is
+    /// shutting down underneath the handle (see [`StreamOverflow`] for
+    /// the full per-policy contract).
     pub fn send_batch<I>(&mut self, events: I) -> Result<(), StreamOverflow>
     where
         I: IntoIterator<Item = (A, Rat, S)>,
@@ -540,6 +554,7 @@ impl<S, A> StreamHandle<S, A> {
         if self.failed {
             return Err(StreamOverflow {
                 stream: self.stream,
+                accepted: 0,
             });
         }
         let n = events.len() as u64;
@@ -568,6 +583,7 @@ impl<S, A> StreamHandle<S, A> {
                         self.failed = true;
                         return Err(StreamOverflow {
                             stream: self.stream,
+                            accepted: accepted_total,
                         });
                     }
                 }
@@ -581,6 +597,7 @@ impl<S, A> StreamHandle<S, A> {
                     self.metrics.record_failed_stream();
                     return Err(StreamOverflow {
                         stream: self.stream,
+                        accepted: accepted_total,
                     });
                 }
             }
@@ -1281,21 +1298,29 @@ mod tests {
         let mut pool = MonitorPool::new(&[never], config);
         let mut h = pool.open_stream(0u8);
         let mut failed = false;
+        let mut delivered = 0u64;
         for round in 0..100_000i64 {
             let base = round * 8;
-            if h.send_batch((base..base + 8).map(|t| ("x", Rat::from(t), 0u8)))
-                .is_err()
-            {
-                failed = true;
-                break;
+            match h.send_batch((base..base + 8).map(|t| ("x", Rat::from(t), 0u8))) {
+                Ok(()) => delivered += 8,
+                Err(e) => {
+                    assert!(e.accepted < 8, "a refused batch did not fit entirely");
+                    delivered += e.accepted;
+                    failed = true;
+                    break;
+                }
             }
         }
         assert!(failed, "a capacity-1 queue must eventually refuse a batch");
-        assert!(h.send("x", Rat::from(1_000_000), 0).is_err());
+        let err = h.send("x", Rat::from(1_000_000), 0).unwrap_err();
+        assert_eq!(err.accepted, 0, "a failed stream accepts nothing more");
         h.finish();
         let report = pool.shutdown();
         assert!(report.streams[0].failed);
         assert_eq!(report.metrics.failed_streams, 1);
+        // The accepted prefix of the refused batch is monitored: the
+        // report counts exactly the events the handle reported delivered.
+        assert_eq!(report.streams[0].events as u64, delivered);
     }
 
     #[test]

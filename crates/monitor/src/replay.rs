@@ -37,33 +37,15 @@ where
     mon.finish(mode)
 }
 
-/// Replays `seq` through a monitor with an early-warning predictor at
-/// the given `horizon` and returns both the violations and the warnings
-/// that preceded them (see [`Monitor::with_predictor`]).
+/// Replays `seq` through a monitor with prediction armed at the given
+/// `horizon` (see [`Monitor::with_predictor`]) and returns the
+/// violations, the early warnings that preceded them (the `Lt(U)`
+/// side), and the forced windows — one [`Forced`] per trigger that
+/// opened a lower-bound window at least `horizon` wide (the `Ft(U)`
+/// side).
 ///
 /// The violation list is identical to [`replay`]'s — prediction never
-/// changes verdicts, it only adds warnings.
-pub fn replay_predictive<S, A>(
-    seq: &TimedSequence<S, A>,
-    conds: &[TimingCondition<S, A>],
-    mode: SatisfactionMode,
-    horizon: Rat,
-) -> (Vec<Violation>, Vec<Warning>)
-where
-    S: Clone + std::fmt::Debug,
-    A: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-{
-    let mut mon = Monitor::new(conds, seq.first_state()).with_predictor(horizon);
-    for (_, a, t, post) in seq.step_triples() {
-        mon.observe(a, t, post);
-    }
-    mon.finish_with_warnings(mode)
-}
-
-/// Like [`replay_predictive`], but also returns the forced windows —
-/// the `Ft(U)` side of prediction: one [`Forced`] per trigger that
-/// opened a lower-bound window at least `horizon` wide (see
-/// [`Monitor::with_predictor`]).
+/// changes verdicts, it only adds warnings and forced windows.
 pub fn replay_predictive_full<S, A>(
     seq: &TimedSequence<S, A>,
     conds: &[TimingCondition<S, A>],
@@ -108,30 +90,6 @@ where
     out
 }
 
-/// Replay form of [`tempo_core::semi_satisfies`]: `Ok` iff the stream
-/// semi-satisfies every condition.
-///
-/// # Errors
-///
-/// Returns the first violation in event order, exactly as
-/// [`tempo_core::semi_satisfies`] reports it.
-pub fn replay_semi_satisfies<S, A>(
-    seq: &TimedSequence<S, A>,
-    conds: &[TimingCondition<S, A>],
-) -> Result<(), Violation>
-where
-    S: Clone + std::fmt::Debug,
-    A: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-{
-    match replay(seq, conds, SatisfactionMode::Prefix)
-        .into_iter()
-        .next()
-    {
-        None => Ok(()),
-        Some(v) => Err(v),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,13 +114,13 @@ mod tests {
         let c = cond(2, 4);
         let ok = seq(&[("noise", 1, 1), ("fire", 3, 2)]);
         assert!(replay(&ok, std::slice::from_ref(&c), SatisfactionMode::Complete).is_empty());
-        assert!(replay_semi_satisfies(&ok, std::slice::from_ref(&c)).is_ok());
+        assert!(replay(&ok, std::slice::from_ref(&c), SatisfactionMode::Prefix).is_empty());
 
         let early = seq(&[("fire", 1, 1)]);
         let online = replay(&early, std::slice::from_ref(&c), SatisfactionMode::Prefix);
         let offline = tempo_core::violations(&early, &c, SatisfactionMode::Prefix);
         assert_eq!(online, offline);
-        assert!(replay_semi_satisfies(&early, &[c]).is_err());
+        assert!(!replay(&early, &[c], SatisfactionMode::Prefix).is_empty());
     }
 
     #[test]
@@ -170,7 +128,7 @@ mod tests {
         let c = cond(0, 4);
         let late = seq(&[("noise", 3, 1), ("noise", 6, 1)]);
         let plain = replay(&late, std::slice::from_ref(&c), SatisfactionMode::Prefix);
-        let (violations, warnings) = replay_predictive(
+        let (violations, warnings, _) = replay_predictive_full(
             &late,
             std::slice::from_ref(&c),
             SatisfactionMode::Prefix,
@@ -181,8 +139,8 @@ mod tests {
         assert_eq!(warnings[0].deadline, Rat::from(4));
         // Violation-free trace at horizon 0: silent.
         let ok = seq(&[("fire", 2, 1)]);
-        let (violations, warnings) =
-            replay_predictive(&ok, &[c], SatisfactionMode::Complete, Rat::ZERO);
+        let (violations, warnings, _) =
+            replay_predictive_full(&ok, &[c], SatisfactionMode::Complete, Rat::ZERO);
         assert!(violations.is_empty());
         assert!(warnings.is_empty());
     }

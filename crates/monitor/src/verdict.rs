@@ -195,14 +195,6 @@ impl Verdict {
             _ => None,
         }
     }
-
-    /// Unwraps into the violation, if any.
-    pub fn into_violation(self) -> Option<Violation> {
-        match self {
-            Verdict::Ok | Verdict::Warning(_) | Verdict::Forced(_) => None,
-            Verdict::LowerBoundViolation(v) | Verdict::UpperBoundViolation(v) => Some(v),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +228,6 @@ mod tests {
         assert!(!v.is_ok());
         assert!(v.is_violation());
         assert_eq!(v.violation(), Some(&upper));
-        assert_eq!(v.into_violation(), Some(upper));
         assert!(Verdict::Ok.is_ok());
         assert_eq!(Verdict::Ok.violation(), None);
     }
@@ -258,7 +249,6 @@ mod tests {
         assert!(!v.is_violation());
         assert_eq!(v.warning(), Some(&w));
         assert_eq!(v.violation(), None);
-        assert_eq!(v.clone().into_violation(), None);
         assert!(!Verdict::Ok.is_warning());
         assert!(w.to_string().contains("deadline 10"));
     }
@@ -283,7 +273,6 @@ mod tests {
         assert_eq!(v.forced(), Some(&fw));
         assert_eq!(v.warning(), None);
         assert_eq!(v.violation(), None);
-        assert_eq!(v.into_violation(), None);
         assert!(!Verdict::Ok.is_forced());
         assert!(fw.to_string().contains("until 7"));
     }

@@ -5,8 +5,9 @@
 //!             [--addr 127.0.0.1:7400] [--io-threads 2] [--workers 4] [--queue 1024]
 //! ```
 //!
-//! Runs until killed; prints the bound address on stdout so scripts
-//! (and the loadgen) can pick up an ephemeral port.
+//! Runs until killed; prints the bound address as its first stdout
+//! line, so scripts and tests can pick up an ephemeral port
+//! (`--addr 127.0.0.1:0`).
 
 use std::process::ExitCode;
 

@@ -1,5 +1,5 @@
-//! A small blocking client for the wire protocol — the loadgen's
-//! transport and the loopback tests' harness.
+//! A small blocking client for the wire protocol — the transport of the
+//! loopback tests and of `perfbench`'s closed-loop driver.
 //!
 //! Ingest calls ([`open`](Client::open), [`send_batch`](Client::send_batch),
 //! [`finish_stream`](Client::finish_stream), …) buffer frames locally;

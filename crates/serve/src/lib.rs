@@ -31,19 +31,17 @@
 //! Sockets are single-writer: only the io thread that owns a
 //! connection writes to it; the egress thread hands frames over via a
 //! per-connection outbox. See `DESIGN.md` ("Serving over the network")
-//! for the full protocol spec and EXPERIMENTS.md §E18 for measured
-//! throughput/latency.
+//! for the full protocol spec, and `perfbench/README.md` for how its
+//! throughput and verdict latency are measured.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod placement;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ServerFrame};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use placement::HashRing;
 pub use server::{ReloadSummary, ServeConfig, ServeError, Server};

@@ -803,9 +803,10 @@ impl WireEvent {
 
 /// Incrementally encodes one [`tag::BATCH`] frame into `out`.
 ///
-/// The loadgen hot path uses this to build batches without an
-/// intermediate event vector: `begin`, then `push` per event, then
-/// `finish` (which back-patches the length prefix and event count).
+/// [`Client::batch`](crate::Client::batch) uses this to build batches
+/// without an intermediate event vector: `begin`, then `push` per
+/// event, then `finish` (which back-patches the length prefix and event
+/// count).
 #[derive(Debug)]
 pub struct BatchBuilder<'a> {
     out: &'a mut Vec<u8>,

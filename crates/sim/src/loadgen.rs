@@ -1,5 +1,5 @@
 //! Deterministic request/serve traffic for driving the networked
-//! ingest path (`tempo-serve`'s loadgen and the E18 experiments).
+//! ingest path (the loopback tests and `perfbench`).
 //!
 //! [`ReqServe`] generates, per stream, an alternating
 //! `REQUEST`/`SERVE` trace on an integer-millisecond clock: request `k`

@@ -65,7 +65,7 @@ fn main() {
             }
         }
     }
-    let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Prefix);
+    let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Prefix);
     println!(
         "   -> {} violation(s), {} warning(s); every deadline violation was warned >= {horizon} early",
         violations.len(),

@@ -8,7 +8,7 @@
 
 use tempo_core::{time_ab, SatisfactionMode, TimedSequence, ViolationKind};
 use tempo_math::Rat;
-use tempo_monitor::{replay, replay_predictive, Monitor, MonitorPool, PoolConfig, Verdict};
+use tempo_monitor::{replay, replay_predictive_full, Monitor, MonitorPool, PoolConfig, Verdict};
 use tempo_sim::{predictive_audit_runs, Ensemble};
 use tempo_systems::resource_manager::{self, g1, g2, Params};
 
@@ -43,8 +43,8 @@ fn every_violation_is_warned_at_least_horizon_early() {
     for run in &runs {
         // Stretch 2×: every GRANT now lands past its deadline.
         let warped = stretch(run, 16);
-        let (violations, warnings) =
-            replay_predictive(&warped, &conds, SatisfactionMode::Prefix, horizon);
+        let (violations, warnings, _) =
+            replay_predictive_full(&warped, &conds, SatisfactionMode::Prefix, horizon);
         for v in &violations {
             if let ViolationKind::UpperBound {
                 trigger_index,
@@ -120,7 +120,7 @@ fn warning_verdict_precedes_violation_verdict_online() {
             assert!(s <= Rat::from(i64::from(params.k)) * params.c2 + params.l);
         }
     }
-    let (violations, warnings) = mon.finish_with_warnings(SatisfactionMode::Prefix);
+    let (violations, warnings, _) = mon.finish_full(SatisfactionMode::Prefix);
     if let Some(v_at) = saw_violation_at {
         let w_at = saw_warning_at.expect("a violation implies a warning");
         assert!(

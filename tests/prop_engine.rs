@@ -89,7 +89,7 @@ where
             predictive.observe(a, t, post);
         }
         let online = plain.finish(mode);
-        let (warned, _) = predictive.finish_with_warnings(mode);
+        let (warned, _, _) = predictive.finish_full(mode);
 
         let want = sorted(&offline);
         prop_assert_eq!(&want, &sorted(&fold), "engine fold, mode {:?}", mode);

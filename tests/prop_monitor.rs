@@ -17,7 +17,7 @@ use tempo_core::{
     TimingCondition, Violation,
 };
 use tempo_math::{Interval, Rat};
-use tempo_monitor::{replay, replay_semi_satisfies, PoolConfig};
+use tempo_monitor::{replay, PoolConfig};
 use tempo_sim::{audit_runs, pooled_audit_runs, stream_audit_runs, Ensemble};
 use tempo_systems::resource_manager::{self, g1, g2, Params};
 use tempo_systems::signal_relay::{self, u_kn, RelayParams};
@@ -78,7 +78,10 @@ where
     let offline_ok = conds
         .iter()
         .all(|c| tempo_core::semi_satisfies(seq, c).is_ok());
-    prop_assert_eq!(offline_ok, replay_semi_satisfies(seq, conds).is_ok());
+    prop_assert_eq!(
+        offline_ok,
+        replay(seq, conds, SatisfactionMode::Prefix).is_empty()
+    );
     Ok(())
 }
 

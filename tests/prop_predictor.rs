@@ -18,7 +18,7 @@ use support::reference::Reference;
 use tempo_core::engine::{CompiledConditionSet, EngineBackend};
 use tempo_core::{time_ab, SatisfactionMode, TimedSequence, TimingCondition, ViolationKind};
 use tempo_math::Rat;
-use tempo_monitor::{replay, replay_predictive, replay_predictive_full, Monitor};
+use tempo_monitor::{replay, replay_predictive_full, Monitor};
 use tempo_sim::{predictive_audit_runs, Ensemble};
 use tempo_systems::resource_manager::{self, g1, g2, Params};
 
@@ -59,7 +59,7 @@ where
 {
     for mode in [SatisfactionMode::Prefix, SatisfactionMode::Complete] {
         let plain = replay(seq, conds, mode);
-        let (violations, warnings) = replay_predictive(seq, conds, mode, horizon);
+        let (violations, warnings, _) = replay_predictive_full(seq, conds, mode, horizon);
         prop_assert_eq!(&plain, &violations, "mode {:?}", mode);
         for v in &violations {
             if let ViolationKind::UpperBound {

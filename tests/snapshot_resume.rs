@@ -99,8 +99,8 @@ where
 
     // Prefix + suffix totals equal the uninterrupted totals — no
     // verdict is lost or doubled across the snapshot boundary.
-    let (suffix_violations, suffix_warnings) = resumed.finish_with_warnings(mode);
-    let (full_violations, full_warnings) = full.finish_with_warnings(mode);
+    let (suffix_violations, suffix_warnings, _) = resumed.finish_full(mode);
+    let (full_violations, full_warnings, _) = full.finish_full(mode);
     let mut stitched = prefix_violations;
     stitched.extend(suffix_violations);
     prop_assert_eq!(&stitched, &full_violations, "violations, split {}", split);
